@@ -4,10 +4,11 @@
 // RAPL read paths (stock leak vs. per-container modeled view). These are
 // the per-operation costs behind Table III's aggregate overheads.
 //
-// The BM_HostAdvance_* pair compares the legacy object-at-a-time tick loop
-// against the batched SoA plane on one host, reporting honest cycle counts
-// (util/cycle_timer.h: rdtsc, or steady_clock ns on other platforms) as the
-// "cycles" counter alongside google-benchmark's wall clock.
+// The BM_HostAdvance_* pair times one host's tick loop with its hardware
+// state in its own vectors (unbound) and bound to a lane of the batched SoA
+// plane, reporting honest cycle counts (util/cycle_timer.h: rdtsc, or
+// steady_clock ns on other platforms) as the "cycles" counter alongside
+// google-benchmark's wall clock.
 #include <benchmark/benchmark.h>
 
 #include "cloud/datacenter.h"
@@ -207,8 +208,8 @@ void BM_SchedulerTick_8Tasks(benchmark::State& state) {
 }
 BENCHMARK(BM_SchedulerTick_8Tasks);
 
-// Whole-host tick loop, legacy object-at-a-time path vs the batched SoA
-// plane. Fresh servers (not the shared Env) so the storage mode is explicit;
+// Whole-host tick loop, own-storage (unbound) host vs a host bound to the
+// batched SoA plane. Fresh servers (not the shared Env) so the storage mode is explicit;
 // the "cycles" counter is the honest per-advance cost from the cycle timer,
 // independent of google-benchmark's wall-clock plumbing.
 void advance_loop(benchmark::State& state, cloud::Server& server) {
@@ -224,11 +225,11 @@ void advance_loop(benchmark::State& state, cloud::Server& server) {
       static_cast<double>(cycles.total), benchmark::Counter::kAvgIterations);
 }
 
-void BM_HostAdvance_Scalar(benchmark::State& state) {
-  cloud::Server server("bm-scalar", cloud::local_testbed(), 23);
+void BM_HostAdvance_Unbound(benchmark::State& state) {
+  cloud::Server server("bm-unbound", cloud::local_testbed(), 23);
   advance_loop(state, server);
 }
-BENCHMARK(BM_HostAdvance_Scalar);
+BENCHMARK(BM_HostAdvance_Unbound);
 
 void BM_HostAdvance_Batched(benchmark::State& state) {
   const auto profile = cloud::local_testbed();

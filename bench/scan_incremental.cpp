@@ -1,17 +1,20 @@
-// Incremental-scan benchmark (PR 5): one cold CrossValidator::scan versus
-// ten warm re-scans — five on an untouched world, five after small
-// perturbations (a 1 s server step each) — at 1/2/4/8 execution lanes.
+// Incremental-scan benchmark: cold CrossValidator::scan versus ten warm
+// re-scans on one validator — five on an untouched world, five after small
+// perturbations (a 1 s server step each).
 //
 // Asserted, not just reported:
 //   * an unchanged-world warm re-scan does ZERO container-context renders
 //     for cache-eligible paths (the viewer-cache hit/miss counters both
 //     stand still: reuse happens above the filesystem, not through it)
 //     while scan_renders_avoided_total advances;
-//   * warm unchanged re-scans are faster than the cold scan at every lane
-//     count (they skip renders, diffs and every perturbation epoch);
-//   * the FNV digest over all eleven scans' findings is identical at every
-//     lane count — the incremental pipeline keeps the bitwise determinism
-//     contract, warm or cold, perturbed or not.
+//   * warm unchanged re-scans are faster than a cold scan (they skip
+//     renders, diffs and every perturbation epoch). A scan takes about a
+//     millisecond, so one preemption can swamp a single sample: the gate
+//     compares the median of kColdScans cold scans, each on a fresh server
+//     and validator, against the median of the unchanged re-scans;
+//   * the FNV digest over the sequence's eleven scans matches the recorded
+//     one — the incremental pipeline reproduces its findings bit for bit,
+//     warm or cold, perturbed or not.
 // Emits BENCH_scan_incremental.json through the cleaks-bench-v1 exporter.
 #include <chrono>
 #include <cstdint>
@@ -24,13 +27,20 @@
 #include "leakage/detector.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
+#include "util/stats.h"
 
 using namespace cleaks;
 
 namespace {
 
+constexpr int kColdScans = 7;
 constexpr int kWarmScans = 10;      // 5 unchanged + 5 perturbed
 constexpr int kUnchangedScans = 5;
+
+// Digest of the cold + ten warm sequence below, recorded from the
+// lane-parallel scan (the version that fanned its reads over a ThreadPool),
+// identical at 1, 2, 4 and 8 lanes.
+constexpr std::uint64_t kRecordedDigest = 0x068dfc343e4004eaULL;
 
 struct Digest {
   std::uint64_t hash = 1469598103934665603ULL;
@@ -45,10 +55,9 @@ struct Digest {
 };
 
 struct Run {
-  int threads = 0;
-  double cold_seconds = 0.0;
-  double warm_unchanged_seconds = 0.0;  // mean over the unchanged re-scans
-  double warm_perturbed_seconds = 0.0;  // mean over the perturbed re-scans
+  double cold_seconds = 0.0;            // median over kColdScans cold scans
+  double warm_unchanged_seconds = 0.0;  // median over the unchanged re-scans
+  double warm_perturbed_seconds = 0.0;  // median over the perturbed re-scans
   std::uint64_t renders_avoided = 0;    // delta across all warm re-scans
   std::uint64_t paths_reused = 0;       // delta across all warm re-scans
   bool zero_rerenders = true;  // viewer cache untouched while unchanged
@@ -61,7 +70,11 @@ double now_seconds() {
       .count();
 }
 
-Run bench_incremental(int threads) {
+cloud::Server make_server() {
+  return cloud::Server("inc-host", cloud::local_testbed(), 77, 40 * kDay);
+}
+
+Run bench_incremental() {
   auto& registry = obs::Registry::global();
   obs::Counter& avoided = registry.counter("scan_renders_avoided_total");
   obs::Counter& reused = registry.counter("scan_paths_reused_total");
@@ -69,13 +82,19 @@ Run bench_incremental(int threads) {
   obs::Counter& viewer_misses =
       registry.counter("fs_viewer_cache_misses_total");
 
-  cloud::Server server("inc-host", cloud::local_testbed(), 77, 40 * kDay);
-  leakage::ScanOptions options;
-  options.num_threads = threads;
-  leakage::CrossValidator validator(server, options);
-
   Run run;
-  run.threads = threads;
+  std::vector<double> cold;
+  for (int i = 0; i < kColdScans; ++i) {
+    cloud::Server server = make_server();
+    leakage::CrossValidator validator(server);
+    const double start = now_seconds();
+    validator.scan();
+    cold.push_back(now_seconds() - start);
+  }
+  run.cold_seconds = percentile(cold, 50.0);
+
+  cloud::Server server = make_server();
+  leakage::CrossValidator validator(server);
   Digest digest;
   auto digest_findings = [&digest](
                              const std::vector<leakage::FileFinding>& found) {
@@ -86,25 +105,24 @@ Run bench_incremental(int threads) {
       digest.add(&degraded, 1);
     }
   };
-
-  double start = now_seconds();
   digest_findings(validator.scan());  // cold: full protocol
-  run.cold_seconds = now_seconds() - start;
 
   const std::uint64_t avoided_before = avoided.value();
   const std::uint64_t reused_before = reused.value();
+  std::vector<double> unchanged;
+  std::vector<double> perturbed;
   for (int i = 0; i < kWarmScans; ++i) {
     const bool perturb = i >= kUnchangedScans;
     if (perturb) server.step(kSecond);
     const std::uint64_t hits_before = viewer_hits.value();
     const std::uint64_t misses_before = viewer_misses.value();
-    start = now_seconds();
+    const double start = now_seconds();
     digest_findings(validator.scan());
     const double elapsed = now_seconds() - start;
     if (perturb) {
-      run.warm_perturbed_seconds += elapsed / kUnchangedScans;
+      perturbed.push_back(elapsed);
     } else {
-      run.warm_unchanged_seconds += elapsed / kUnchangedScans;
+      unchanged.push_back(elapsed);
       // The acceptance bit: an unchanged warm re-scan never even consults
       // the viewer cache for eligible paths — no hits, no misses, no
       // container-context renders at all.
@@ -114,6 +132,8 @@ Run bench_incremental(int threads) {
       }
     }
   }
+  run.warm_unchanged_seconds = percentile(unchanged, 50.0);
+  run.warm_perturbed_seconds = percentile(perturbed, 50.0);
   run.renders_avoided = avoided.value() - avoided_before;
   run.paths_reused = reused.value() - reused_before;
   run.digest = digest.hash;
@@ -125,64 +145,49 @@ Run bench_incremental(int threads) {
 int main() {
   std::printf("== incremental scan: cold vs %d warm re-scans ==\n\n",
               kWarmScans);
-  std::vector<Run> runs;
-  for (int threads : {1, 2, 4, 8}) {
-    runs.push_back(bench_incremental(threads));
-  }
+  const Run run = bench_incremental();
 
-  bool identical = true;
-  bool warm_faster = true;
-  bool zero_rerenders = true;
-  bool avoided_renders = true;
+  const bool digest_matches = run.digest == kRecordedDigest;
+  const bool warm_faster = run.warm_unchanged_seconds < run.cold_seconds;
+  std::printf(
+      "  cold %8.2f ms  warm-unchanged %8.3f ms  warm-perturbed %8.2f ms  "
+      "avoided %llu  reused %llu  digest %016llx\n",
+      run.cold_seconds * 1e3, run.warm_unchanged_seconds * 1e3,
+      run.warm_perturbed_seconds * 1e3,
+      (unsigned long long)run.renders_avoided,
+      (unsigned long long)run.paths_reused, (unsigned long long)run.digest);
+
   obs::BenchReport report("scan_incremental");
-  report.json().field("warm_scans", kWarmScans);
-  report.json().field("unchanged_scans", kUnchangedScans);
-  report.json().begin_array("runs");
-  for (const auto& run : runs) {
-    std::printf(
-        "  %d lane(s): cold %8.2f ms  warm-unchanged %8.3f ms  "
-        "warm-perturbed %8.2f ms  avoided %llu  reused %llu  digest %016llx\n",
-        run.threads, run.cold_seconds * 1e3,
-        run.warm_unchanged_seconds * 1e3, run.warm_perturbed_seconds * 1e3,
-        (unsigned long long)run.renders_avoided,
-        (unsigned long long)run.paths_reused,
-        (unsigned long long)run.digest);
-    char digest_hex[17];
-    std::snprintf(digest_hex, sizeof digest_hex, "%016llx",
-                  (unsigned long long)run.digest);
-    report.json()
-        .begin_object()
-        .field("threads", run.threads)
-        .field("cold_seconds", run.cold_seconds)
-        .field("warm_unchanged_seconds", run.warm_unchanged_seconds)
-        .field("warm_perturbed_seconds", run.warm_perturbed_seconds)
-        .field("renders_avoided", run.renders_avoided)
-        .field("paths_reused", run.paths_reused)
-        .field("zero_rerenders_while_unchanged", run.zero_rerenders)
-        .field("digest", digest_hex)
-        .end_object();
-    if (run.digest != runs[0].digest) identical = false;
-    if (run.warm_unchanged_seconds >= run.cold_seconds) warm_faster = false;
-    if (!run.zero_rerenders) zero_rerenders = false;
-    if (run.renders_avoided == 0) avoided_renders = false;
-  }
-  report.json().end_array();
-  report.json().field("identical_across_threads", identical);
-  report.json().field("warm_faster_than_cold", warm_faster);
-  report.json().field("zero_rerenders_while_unchanged", zero_rerenders);
-  report.json().field("renders_avoided_positive", avoided_renders);
+  char digest_hex[17];
+  std::snprintf(digest_hex, sizeof digest_hex, "%016llx",
+                (unsigned long long)run.digest);
+  report.json()
+      .field("cold_scans", kColdScans)
+      .field("warm_scans", kWarmScans)
+      .field("unchanged_scans", kUnchangedScans)
+      .field("cold_seconds", run.cold_seconds)
+      .field("warm_unchanged_seconds", run.warm_unchanged_seconds)
+      .field("warm_perturbed_seconds", run.warm_perturbed_seconds)
+      .field("renders_avoided", run.renders_avoided)
+      .field("paths_reused", run.paths_reused)
+      .field("digest", digest_hex)
+      .field("digest_matches_recording", digest_matches)
+      .field("warm_faster_than_cold", warm_faster)
+      .field("zero_rerenders_while_unchanged", run.zero_rerenders)
+      .field("renders_avoided_positive", run.renders_avoided > 0);
   const std::string path = report.write();
   if (path.empty()) {
     std::fprintf(stderr, "cannot write bench report\n");
     return 1;
   }
 
-  const bool ok =
-      identical && warm_faster && zero_rerenders && avoided_renders;
-  std::printf("\nidentical across lanes: %s  warm<cold: %s  "
+  const bool ok = digest_matches && warm_faster && run.zero_rerenders &&
+                  run.renders_avoided > 0;
+  std::printf("\ndigest matches recording: %s  warm<cold: %s  "
               "zero rerenders unchanged: %s  renders avoided: %s\n",
-              identical ? "yes" : "NO", warm_faster ? "yes" : "NO",
-              zero_rerenders ? "yes" : "NO", avoided_renders ? "yes" : "NO");
+              digest_matches ? "yes" : "NO", warm_faster ? "yes" : "NO",
+              run.zero_rerenders ? "yes" : "NO",
+              run.renders_avoided > 0 ? "yes" : "NO");
   std::printf("wrote %s\n", path.c_str());
   return ok ? 0 : 1;
 }

@@ -7,19 +7,15 @@
 #include "faults/injector.h"
 #include "obs/events.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "util/rng.h"
 #include "util/strings.h"
-#include "util/thread_pool.h"
 #include "workload/profiles.h"
 
 namespace cleaks::leakage {
 namespace {
 
-// Scan telemetry. Classification counters are incremented from inside
-// parallel bodies (lane-sharded, integer merge) and by the verdict loop on
-// the caller thread; either way the totals equal the finding counts, which
-// PR 1 already pins as thread-count-independent.
+// Scan telemetry. Every finding bumps exactly one class counter (reuse
+// included), so the per-class totals equal the finding counts.
 struct ScanMetrics {
   obs::Counter& runs = obs::Registry::global().counter(
       "scan_runs_total", "full CrossValidator::scan passes");
@@ -273,7 +269,6 @@ std::vector<FileFinding> CrossValidator::scan() {
   const std::size_t n = paths.size();
   std::vector<FileFinding> findings(n);
   std::vector<std::uint8_t> undecided(n, 0);
-  std::vector<std::uint8_t> transient(n, 0);
   std::vector<std::uint8_t> reused(n, 0);
   std::vector<std::uint8_t> faulted(n, 0);
   std::vector<std::uint8_t> eligible(n, 0);
@@ -305,8 +300,11 @@ std::vector<FileFinding> CrossValidator::scan() {
                          cache_epoch_ == start_epoch &&
                          cache_fingerprint_ == start_fingerprint;
 
-  ThreadPool pool(options_.num_threads);
   const fs::ViewContext host_ctx{};  // host context: no viewer, no policy
+  // The two render buffers every read below reuses: one allocation per
+  // context for the whole scan instead of a fresh string per path.
+  std::string container_buf;
+  std::string host_buf;
 
   // Unchanged-world fast path: reuse every cached eligible classification
   // outright — zero renders, zero reads, zero sim time for these paths.
@@ -323,133 +321,104 @@ std::vector<FileFinding> CrossValidator::scan() {
     }
   }
 
-  // Phase A: the instant pair-wise differential, fanned across workers.
-  // All reads are pure (the simulation is quiescent here), each worker
-  // reuses two lane-local scratch buffers for its whole range, and every
-  // slot written belongs to exactly one worker — so the phase is race-free
-  // and its results independent of the thread count. The class counters
-  // below are incremented from inside the parallel body: lane-sharded
-  // integer sums, so the merged totals equal the (deterministic) finding
-  // counts. Both renders are FNV-digested as a side effect; on a warm scan
-  // an undecided path whose digest pair matches the cached pair reuses the
-  // cached Phase-B verdict instead of re-probing (hash-first reuse).
+  // Phase A: the instant pair-wise differential. All reads are pure (the
+  // simulation is quiescent here). Both renders are FNV-digested as a side
+  // effect; on a warm scan an undecided path whose digest pair matches the
+  // cached pair reuses the cached Phase-B verdict instead of re-probing
+  // (hash-first reuse).
   const SimTime differential_start = sim_now();
-  {
-    obs::ScopedSpan span(obs::SpanTracer::global(), "scan.differential",
-                         sim_now);
-    pool.parallel_for(n, [&](std::size_t begin, std::size_t end) {
-      std::string& container_buf = pool.scratch(0);
-      std::string& host_buf = pool.scratch(1);
-      for (std::size_t i = begin; i < end; ++i) {
-        if (reused[i] != 0) continue;
-        findings[i].path = paths[i];
-        metrics.paths.inc();
-        const StatusCode code = probe.read_file_into(paths[i], container_buf);
-        if (code == StatusCode::kPermissionDenied) {
-          findings[i].cls = LeakClass::kMasked;
-          metrics.masked.inc();
-          continue;
-        }
-        if (code == StatusCode::kUnavailable) {
-          transient[i] = 1;  // EBUSY: retried below on the sim-time budget
-          continue;
-        }
-        if (code != StatusCode::kOk) {
-          findings[i].cls = LeakClass::kAbsent;
-          metrics.absent.inc();
-          continue;
-        }
-        if (pseudo.read_into(paths[i], host_ctx, host_buf) !=
-            StatusCode::kOk) {
-          findings[i].cls = LeakClass::kAbsent;
-          metrics.absent.inc();
-          continue;
-        }
-        container_digest[i] = fnv1a64(container_buf);
-        host_digest[i] = fnv1a64(host_buf);
-        digest_ok[i] = 1;
-        if (container_buf == host_buf) {
-          findings[i].cls = LeakClass::kLeaking;
-          metrics.differential_hits.inc();
-          metrics.leaking.inc();
-        } else if (warm && faulted[i] == 0 && cache_[i].valid &&
-                   cache_[i].has_digests &&
-                   (cache_[i].cls == LeakClass::kPartial ||
-                    cache_[i].cls == LeakClass::kNamespaced) &&
-                   cache_[i].container_digest == container_digest[i] &&
-                   (unchanged ||
-                    cache_[i].host_digest == host_digest[i])) {
-          // Hash-first reuse of the perturbation verdict. In a changed
-          // world both digests must match (nothing about the pair moved);
-          // in an unchanged world the container digest alone suffices —
-          // that covers kUncacheable files like /proc/containerleaks,
-          // whose host side (the live registry) churns without the world
-          // moving while the container side is exactly what Phase B
-          // measures.
-          findings[i].cls = cache_[i].cls;
-          reused[i] = 1;
-          metrics.paths_reused.inc();
-          count_class(metrics, cache_[i].cls);
-        } else {
-          undecided[i] = 1;  // needs the perturbation probe
-          metrics.undecided.inc();
-        }
-      }
-    });
+  std::vector<std::size_t> retry;  // EBUSY slots, in path order
+  for (std::size_t i = 0; i < n; ++i) {
+    if (reused[i] != 0) continue;
+    findings[i].path = paths[i];
+    metrics.paths.inc();
+    const StatusCode code = probe.read_file_into(paths[i], container_buf);
+    if (code == StatusCode::kPermissionDenied) {
+      findings[i].cls = LeakClass::kMasked;
+      metrics.masked.inc();
+      continue;
+    }
+    if (code == StatusCode::kUnavailable) {
+      retry.push_back(i);  // EBUSY: retried below on the sim-time budget
+      continue;
+    }
+    if (code != StatusCode::kOk) {
+      findings[i].cls = LeakClass::kAbsent;
+      metrics.absent.inc();
+      continue;
+    }
+    if (pseudo.read_into(paths[i], host_ctx, host_buf) != StatusCode::kOk) {
+      findings[i].cls = LeakClass::kAbsent;
+      metrics.absent.inc();
+      continue;
+    }
+    container_digest[i] = fnv1a64(container_buf);
+    host_digest[i] = fnv1a64(host_buf);
+    digest_ok[i] = 1;
+    if (container_buf == host_buf) {
+      findings[i].cls = LeakClass::kLeaking;
+      metrics.differential_hits.inc();
+      metrics.leaking.inc();
+    } else if (warm && faulted[i] == 0 && cache_[i].valid &&
+               cache_[i].has_digests &&
+               (cache_[i].cls == LeakClass::kPartial ||
+                cache_[i].cls == LeakClass::kNamespaced) &&
+               cache_[i].container_digest == container_digest[i] &&
+               (unchanged || cache_[i].host_digest == host_digest[i])) {
+      // Hash-first reuse of the perturbation verdict. In a changed world
+      // both digests must match (nothing about the pair moved); in an
+      // unchanged world the container digest alone suffices — that covers
+      // kUncacheable files like /proc/containerleaks, whose host side (the
+      // live registry) churns without the world moving while the container
+      // side is exactly what Phase B measures.
+      findings[i].cls = cache_[i].cls;
+      reused[i] = 1;
+      metrics.paths_reused.inc();
+      count_class(metrics, cache_[i].cls);
+    } else {
+      undecided[i] = 1;  // needs the perturbation probe
+      metrics.undecided.inc();
+    }
   }
+
   // Phase A': bounded sim-time retry of the transient reads. Each round
-  // steps the sim once on this thread (so the fault windows can close),
-  // then re-runs the pair-wise differential for just the EBUSY slots in
-  // parallel. A fault-free scan has no transient slots and takes zero
-  // extra steps — the golden traces cannot move. Slots still EBUSY after
-  // the budget degrade to kAbsent with the degraded flag set: unknown,
-  // never misclassified.
-  std::vector<std::size_t> retry;
-  for (std::size_t i = 0; i < transient.size(); ++i) {
-    if (transient[i] != 0) retry.push_back(i);
-  }
+  // steps the sim once (so the fault windows can close), then re-runs the
+  // pair-wise differential for just the EBUSY slots. A fault-free scan has
+  // no transient slots and takes zero extra steps — the golden traces
+  // cannot move. Slots still EBUSY after the budget degrade to kAbsent with
+  // the degraded flag set: unknown, never misclassified.
   for (int round = 0; round < options_.max_read_retries && !retry.empty();
        ++round) {
     server_->step(options_.retry_backoff);
-    std::vector<std::uint8_t> still_busy(retry.size(), 0);
-    pool.parallel_for(retry.size(), [&](std::size_t begin, std::size_t end) {
-      std::string& container_buf = pool.scratch(0);
-      std::string& host_buf = pool.scratch(1);
-      for (std::size_t s = begin; s < end; ++s) {
-        const std::size_t i = retry[s];
-        metrics.reads_retried.inc();
-        const StatusCode code = probe.read_file_into(paths[i], container_buf);
-        if (code == StatusCode::kUnavailable) {
-          still_busy[s] = 1;
-          continue;
-        }
-        if (code == StatusCode::kPermissionDenied) {
-          findings[i].cls = LeakClass::kMasked;
-          metrics.masked.inc();
-          continue;
-        }
-        if (code != StatusCode::kOk ||
-            pseudo.read_into(paths[i], host_ctx, host_buf) !=
-                StatusCode::kOk) {
-          findings[i].cls = LeakClass::kAbsent;
-          metrics.absent.inc();
-          continue;
-        }
-        if (container_buf == host_buf) {
-          findings[i].cls = LeakClass::kLeaking;
-          metrics.differential_hits.inc();
-          metrics.leaking.inc();
-        } else {
-          undecided[i] = 1;
-          metrics.undecided.inc();
-        }
+    std::vector<std::size_t> still_busy;
+    for (const std::size_t i : retry) {
+      metrics.reads_retried.inc();
+      const StatusCode code = probe.read_file_into(paths[i], container_buf);
+      if (code == StatusCode::kUnavailable) {
+        still_busy.push_back(i);
+        continue;
       }
-    });
-    std::vector<std::size_t> next_retry;
-    for (std::size_t s = 0; s < retry.size(); ++s) {
-      if (still_busy[s] != 0) next_retry.push_back(retry[s]);
+      if (code == StatusCode::kPermissionDenied) {
+        findings[i].cls = LeakClass::kMasked;
+        metrics.masked.inc();
+        continue;
+      }
+      if (code != StatusCode::kOk ||
+          pseudo.read_into(paths[i], host_ctx, host_buf) != StatusCode::kOk) {
+        findings[i].cls = LeakClass::kAbsent;
+        metrics.absent.inc();
+        continue;
+      }
+      if (container_buf == host_buf) {
+        findings[i].cls = LeakClass::kLeaking;
+        metrics.differential_hits.inc();
+        metrics.leaking.inc();
+      } else {
+        undecided[i] = 1;
+        metrics.undecided.inc();
+      }
     }
-    retry.swap(next_retry);
+    retry.swap(still_busy);
   }
   for (const std::size_t i : retry) {
     findings[i].cls = LeakClass::kAbsent;
@@ -461,18 +430,15 @@ std::vector<FileFinding> CrossValidator::scan() {
       static_cast<std::uint64_t>(sim_now() - differential_start));
 
   // Phase B: shared perturbation epochs. The load/quiet cycle runs once for
-  // the whole scan and every undecided path snapshots around it — the sim
-  // steps on this thread; the snapshot reads before and after each step fan
-  // out across workers. Per-path drift state is slot-owned, so results stay
-  // independent of the thread count here too.
+  // the whole scan and every undecided path snapshots around it: a
+  // baseline read of every path, one load (or quiet) step, then a second
+  // read of every path.
   std::vector<std::size_t> pending;
   for (std::size_t i = 0; i < undecided.size(); ++i) {
     if (undecided[i] != 0) pending.push_back(i);
   }
   if (!pending.empty()) {
     const SimTime perturbation_start = sim_now();
-    obs::ScopedSpan phase_span(obs::SpanTracer::global(), "scan.perturbation",
-                               sim_now);
     struct ProbeState {
       std::size_t index = 0;
       bool baseline_ok = false;
@@ -490,43 +456,25 @@ std::vector<FileFinding> CrossValidator::scan() {
     for (int epoch = 0; epoch < options_.probe_epochs; ++epoch) {
       const bool perturb = epoch % 2 == 1;
       metrics.probe_epochs.inc();
-      obs::ScopedSpan epoch_span(
-          obs::SpanTracer::global(),
-          perturb ? "scan.epoch.load" : "scan.epoch.quiet", sim_now);
-      pool.parallel_for(states.size(),
-                        [&](std::size_t begin, std::size_t end) {
-                          for (std::size_t s = begin; s < end; ++s) {
-                            auto& st = states[s];
-                            st.baseline_ok =
-                                probe.read_file_into(
-                                    findings[st.index].path, st.baseline) ==
-                                StatusCode::kOk;
-                          }
-                        });
+      for (auto& st : states) {
+        st.baseline_ok =
+            probe.read_file_into(findings[st.index].path, st.baseline) ==
+            StatusCode::kOk;
+      }
       std::vector<kernel::HostPid> noise_pids;
       if (perturb) noise_pids = spawn_perturbation(*server_);
       server_->step(options_.probe_window);
-      pool.parallel_for(states.size(),
-                        [&](std::size_t begin, std::size_t end) {
-                          std::string& loaded = pool.scratch(0);
-                          for (std::size_t s = begin; s < end; ++s) {
-                            auto& st = states[s];
-                            if (!st.baseline_ok) {
-                              ++st.lost;
-                              continue;
-                            }
-                            if (probe.read_file_into(findings[st.index].path,
-                                                     loaded) !=
-                                StatusCode::kOk) {
-                              ++st.lost;
-                              continue;
-                            }
-                            accumulate_drift(
-                                st.baseline, loaded,
-                                perturb ? st.on_drift : st.off_drift);
-                            ++st.accumulated;
-                          }
-                        });
+      for (auto& st : states) {
+        if (!st.baseline_ok ||
+            probe.read_file_into(findings[st.index].path, container_buf) !=
+                StatusCode::kOk) {
+          ++st.lost;
+          continue;
+        }
+        accumulate_drift(st.baseline, container_buf,
+                         perturb ? st.on_drift : st.off_drift);
+        ++st.accumulated;
+      }
       for (auto pid : noise_pids) server_->host().kill_task(pid);
       server_->step(options_.probe_window);  // settle back to baseline
     }
@@ -566,25 +514,17 @@ std::vector<FileFinding> CrossValidator::scan() {
     const std::uint64_t end_generation = server_->host().state_generation();
     const bool stepped = end_generation != start_generation;
     if (stepped) {
-      pool.parallel_for(n, [&](std::size_t begin, std::size_t end) {
-        std::string& container_buf = pool.scratch(0);
-        std::string& host_buf = pool.scratch(1);
-        for (std::size_t i = begin; i < end; ++i) {
-          digest_ok[i] = 0;
-          if (faulted[i] != 0 || findings[i].degraded) continue;
-          if (probe.read_file_into(paths[i], container_buf) !=
-              StatusCode::kOk) {
-            continue;
-          }
-          if (pseudo.read_into(paths[i], host_ctx, host_buf) !=
-              StatusCode::kOk) {
-            continue;
-          }
-          container_digest[i] = fnv1a64(container_buf);
-          host_digest[i] = fnv1a64(host_buf);
-          digest_ok[i] = 1;
+      for (std::size_t i = 0; i < n; ++i) {
+        digest_ok[i] = 0;
+        if (faulted[i] != 0 || findings[i].degraded) continue;
+        if (probe.read_file_into(paths[i], container_buf) != StatusCode::kOk ||
+            pseudo.read_into(paths[i], host_ctx, host_buf) != StatusCode::kOk) {
+          continue;
         }
-      });
+        container_digest[i] = fnv1a64(container_buf);
+        host_digest[i] = fnv1a64(host_buf);
+        digest_ok[i] = 1;
+      }
     }
     std::vector<PathCache> next(n);
     for (std::size_t i = 0; i < n; ++i) {
@@ -613,9 +553,8 @@ std::vector<FileFinding> CrossValidator::scan() {
   } else {
     cache_valid_ = false;
   }
-  // Findings are in fixed path order and this runs on the scan's caller
-  // thread, so emission order (and hence the merged stream) is a pure
-  // function of the scan outcome, never of the pool's chunking.
+  // Findings are in fixed path order, so emission order (and hence the
+  // merged stream) is a pure function of the scan outcome.
   if (auto& bus = obs::EventBus::global(); bus.enabled()) {
     const SimTime scan_end = sim_now();
     for (std::size_t i = 0; i < n; ++i) {

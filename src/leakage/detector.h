@@ -51,9 +51,9 @@ struct ScanOptions {
   /// Relative change threshold separating "moves with host load" from
   /// background drift.
   double sensitivity = 3.0;
-  /// Execution lanes for scan()'s read phases (0 = ThreadPool default via
-  /// CLEAKS_THREADS / hardware concurrency, 1 = serial). Reads are pure and
-  /// statically chunked, so the findings are identical for every value.
+  /// Unused: scan() runs serially on the calling thread (README, "Threading
+  /// model", gives the measurements). The field stays declared only for
+  /// source compatibility with callers that still set it.
   int num_threads = 0;
   /// Bounded sim-time retry for transient (EBUSY) reads: up to
   /// `max_read_retries` rounds, stepping the server `retry_backoff` apart.
@@ -87,14 +87,14 @@ class CrossValidator {
   CrossValidator(const CrossValidator&) = delete;
   CrossValidator& operator=(const CrossValidator&) = delete;
 
-  /// Run the full protocol over every registered pseudo file. Two phases:
-  ///   A. the instant pair-wise differential over all paths — pure reads,
-  ///      fanned across worker threads (one render buffer per worker);
+  /// Run the full protocol over every registered pseudo file, serially on
+  /// the calling thread. Two phases:
+  ///   A. the instant pair-wise differential over all paths — pure reads
+  ///      into two render buffers the whole scan shares;
   ///   B. the active perturbation probe for the still-undecided paths.
   ///      Perturbation epochs are *shared*: the load/quiet cycle runs once
-  ///      and every undecided path snapshots around it (parallel reads, sim
-  ///      stepping on the calling thread), instead of re-running the cycle
-  ///      per path as classify() does.
+  ///      and every undecided path snapshots around it, instead of
+  ///      re-running the cycle per path as classify() does.
   /// The probe container is created on the first scan and retained until
   /// the validator is destroyed (per-scan create/destroy would bump the
   /// host generation, defeating generation-keyed reuse). With
@@ -105,7 +105,7 @@ class CrossValidator {
   /// re-renders everything but skips Phase B for undecided paths whose
   /// FNV digests (both contexts) match the cached pair. Fault-covered and
   /// degraded paths never reuse. Findings come back in list_paths() order
-  /// and are identical for every num_threads value, warm or cold.
+  /// and are identical warm or cold.
   std::vector<FileFinding> scan();
 
   /// Classify a single path (probe container must exist: scan() manages

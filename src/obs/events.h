@@ -1,11 +1,11 @@
 // Lane-sharded event bus: typed, fixed-size sim events in per-lane rings.
 //
-// The metrics registry answers "how much happened"; the span tracer answers
-// "how long did phases take". This bus answers "what happened, when, to
-// whom" — the streaming substrate for online consumers (windowed IDS
-// aggregation, flight recording, Chrome-trace export; see obs/stream.h).
+// The metrics registry answers "how much happened". This bus answers "what
+// happened, when, to whom" — the streaming substrate for online consumers
+// (windowed IDS aggregation, flight recording, Chrome-trace export; see
+// obs/stream.h).
 //
-// Determinism contract (same as metrics/spans): every event is a pure
+// Determinism contract (same as metrics): every event is a pure
 // function of simulated state — its timestamp is the sim clock and its
 // `source` is a stable logical identity (server index, fnv of a path),
 // never the execution lane. Which *lane ring* an event lands in is

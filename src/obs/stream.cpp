@@ -20,10 +20,6 @@ void fnv_u64(std::uint64_t& hash, std::uint64_t value) {
   }
 }
 
-/// Trace pid for the span ("engine") track; event sources are small
-/// server/hash ids, so a large constant cannot collide.
-constexpr std::uint64_t kEnginePid = 1000000;
-
 double to_trace_us(SimTime t) { return static_cast<double>(t) / 1000.0; }
 
 std::terminate_handler g_previous_terminate = nullptr;
@@ -167,8 +163,7 @@ bool bench_check(bool ok, std::string_view tag, std::string_view what) {
   return false;
 }
 
-std::string to_chrome_trace(const std::vector<Event>& events,
-                            const std::vector<Span>& spans) {
+std::string to_chrome_trace(const std::vector<Event>& events) {
   JsonWriter json;
   json.field("displayTimeUnit", "ms");
   json.begin_array("traceEvents");
@@ -189,7 +184,6 @@ std::string to_chrome_trace(const std::vector<Event>& events,
   for (const std::uint32_t source : sources) {
     name_track(source, "server-" + std::to_string(source));
   }
-  if (!spans.empty()) name_track(kEnginePid, "engine");
 
   auto header = [&](const Event& event, std::string_view ph) {
     json.begin_object();
@@ -250,17 +244,6 @@ std::string to_chrome_trace(const std::vector<Event>& events,
         json.field("id", id_buf);
         break;
     }
-    json.end_object();
-  }
-
-  for (const Span& span : spans) {
-    json.begin_object();
-    json.field("ph", "X");
-    json.field("pid", kEnginePid);
-    json.field("tid", 0);
-    json.field("ts", to_trace_us(span.start));
-    json.field("dur", to_trace_us(span.end - span.start));
-    json.field("name", span.name);
     json.end_object();
   }
 

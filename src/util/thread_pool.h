@@ -1,21 +1,19 @@
 // Deterministic fork-join worker pool for the simulation's embarrassingly
-// parallel loops (stepping independent servers, walking pseudo-fs paths).
+// parallel loops (Datacenter::step's per-server physics).
 //
-// parallel_for uses *static chunking*: [0, n) is split into a fixed set of
-// contiguous ranges computed from n and the lane count alone, never from
-// runtime timing. Bodies must only write state owned by their own indices
-// (all cross-server/cross-path aggregation stays on the caller thread);
-// under that contract the results are bitwise-identical to a serial run,
-// for every thread count.
+// parallel_for splits [0, n) into a fixed set of contiguous chunks whose
+// boundaries are computed from n and the lane count alone. Which lane runs
+// which chunk is decided at runtime (lanes claim the next unclaimed chunk),
+// so bodies must only write state owned by their own indices — all
+// cross-index aggregation stays on the caller thread. Under that contract
+// the results are bitwise-identical to a serial run, for every thread
+// count.
 #pragma once
 
-#include <array>
 #include <condition_variable>
 #include <cstddef>
 #include <functional>
-#include <memory>
 #include <mutex>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -24,8 +22,8 @@ namespace cleaks {
 class ThreadPool {
  public:
   /// Upper bound on execution lanes. Everything lane-indexed (the metrics
-  /// registry's shards, the tracer's per-lane rings) is sized by this, so
-  /// requested lane counts are clamped to it.
+  /// registry's shards, the event bus's per-lane rings) is sized by this,
+  /// so requested lane counts are clamped to it.
   static constexpr int kMaxLanes = 64;
 
   /// `lanes` counts execution lanes *including* the calling thread, so the
@@ -58,34 +56,15 @@ class ThreadPool {
   /// across the whole range — the "one buffer per worker" pattern.
   using ChunkBody = std::function<void(std::size_t begin, std::size_t end)>;
 
-  /// Run `body` over [0, n) split into min(lanes(), n) static chunks. The
-  /// caller participates and blocks until every chunk is done. Not
-  /// reentrant from inside a body.
+  /// Run `body` over [0, n) split into min(lanes(), n) fixed chunks, claimed
+  /// by whichever lane is free next. The caller participates and blocks
+  /// until every chunk is done. Not reentrant from inside a body.
   void parallel_for(std::size_t n, const ChunkBody& body);
-
-  /// Lane-local scratch buffer `slot`, owned by the calling thread's lane:
-  /// returned cleared but with its capacity retained, so parallel_for read
-  /// bodies that render hundreds of paths reuse one allocation per lane
-  /// instead of growing a fresh std::string per chunk. Each lane only ever
-  /// touches its own buffers (the same ownership rule as slot-indexed
-  /// results), so there is no locking on this path. Call only from this
-  /// pool's caller thread or from inside its bodies; references stay valid
-  /// for the current chunk (the next scratch(slot) call on the same lane
-  /// clears the bytes but never reallocates the string object itself).
-  [[nodiscard]] std::string& scratch(std::size_t slot);
 
  private:
   void worker_loop();
 
   static inline thread_local int tls_lane_ = 0;
-
-  /// Per-lane scratch storage. Buffers are heap-boxed so handing out a
-  /// reference survives the slots vector growing; padded to a cache line
-  /// so neighbouring lanes never false-share.
-  struct alignas(64) LaneScratch {
-    std::vector<std::unique_ptr<std::string>> slots;
-  };
-  std::array<LaneScratch, kMaxLanes> scratch_;
 
   std::vector<std::thread> workers_;
 

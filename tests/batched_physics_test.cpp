@@ -28,6 +28,7 @@
 #include "kernel/task.h"
 #include "leakage/detector.h"
 #include "obs/metrics.h"
+#include "scan_digest.h"
 #include "util/rng.h"
 
 namespace cleaks {
@@ -105,8 +106,8 @@ TEST(BatchedEquivalence, FacilityBitwiseIdenticalAcrossLanesAndGolden) {
 TEST(BoundPhysics, ScanFindingsIdenticalBoundVsUnbound) {
   // Table 1: the cross-validation scan must classify every channel path
   // identically whether the probed host's hardware state lives on a plane
-  // lane or in its own vectors, at every scan thread count.
-  auto scan = [](bool bound, int threads) {
+  // lane or in its own vectors — and both must match the recorded findings.
+  auto scan = [](bool bound) {
     // Plane declared before the server so bound slices outlive the Host.
     std::unique_ptr<hw::BatchedPhysics> plane;
     const auto profile = cloud::local_testbed();
@@ -115,20 +116,11 @@ TEST(BoundPhysics, ScanFindingsIdenticalBoundVsUnbound) {
     }
     cloud::Server server("scan-host", profile, 77, 40 * kDay);
     if (plane) server.bind_physics(*plane, 0);
-    leakage::ScanOptions options;
-    options.num_threads = threads;
-    leakage::CrossValidator validator(server, options);
-    std::vector<std::pair<std::string, std::string>> findings;
-    for (const auto& finding : validator.scan()) {
-      findings.emplace_back(finding.path, leakage::to_string(finding.cls));
-    }
-    return findings;
+    leakage::CrossValidator validator(server);
+    return findings_digest(validator.scan());
   };
-  const auto reference = scan(/*bound=*/false, 1);
-  ASSERT_FALSE(reference.empty());
-  for (int lanes : {1, 2, 4, 8}) {
-    EXPECT_EQ(scan(true, lanes), reference) << "bound, " << lanes << " lanes";
-  }
+  EXPECT_EQ(scan(/*bound=*/false), kTable1FindingsDigest) << "unbound";
+  EXPECT_EQ(scan(/*bound=*/true), kTable1FindingsDigest) << "bound";
 }
 
 // ---------- scheduler closed-form fast path ----------

@@ -1,11 +1,11 @@
 // Determinism contract of the parallel simulation engine: every thread
-// count must produce bitwise-identical results — power traces, scan
-// findings, rendered bytes. These tests pin that contract, plus the
-// ThreadPool and render-cache mechanics underneath it.
+// count must produce bitwise-identical results — power traces, telemetry,
+// rendered bytes. These tests pin that contract, the serial scan's
+// recorded findings, and the ThreadPool and render-cache mechanics
+// underneath them.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
@@ -19,7 +19,7 @@
 #include "cloud/server.h"
 #include "leakage/detector.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
+#include "scan_digest.h"
 #include "util/thread_pool.h"
 
 namespace cleaks {
@@ -105,37 +105,6 @@ TEST(ThreadPool, RunsManySequentialJobs) {
   for (auto value : values) ASSERT_EQ(value, 50u);
 }
 
-TEST(ThreadPool, ScratchBuffersKeepCapacityAcrossJobs) {
-  ThreadPool pool(3);
-  // Fill each lane's slot-0 scratch with a large payload, remember where
-  // its storage lives, then check a later job sees cleared-but-reserved
-  // buffers at the same addresses (the pool's whole purpose).
-  std::array<const char*, ThreadPool::kMaxLanes> data{};
-  pool.parallel_for(3, [&](std::size_t begin, std::size_t) {
-    std::string& buffer = pool.scratch(0);
-    buffer.assign(1 << 16, static_cast<char>('a' + begin));
-    data[static_cast<std::size_t>(pool.current_lane())] = buffer.data();
-  });
-  pool.parallel_for(3, [&](std::size_t, std::size_t) {
-    std::string& buffer = pool.scratch(0);
-    const auto lane = static_cast<std::size_t>(pool.current_lane());
-    EXPECT_TRUE(buffer.empty());
-    EXPECT_GE(buffer.capacity(), static_cast<std::size_t>(1 << 16));
-    EXPECT_EQ(buffer.data(), data[lane]);  // no reallocation happened
-  });
-}
-
-TEST(ThreadPool, ScratchSlotsAreIndependent) {
-  ThreadPool pool(1);
-  std::string& first = pool.scratch(0);
-  first = "one";
-  std::string& second = pool.scratch(1);
-  second = "two";
-  EXPECT_NE(&first, &second);
-  EXPECT_EQ(first, "one");  // asking for slot 1 did not clear slot 0
-  EXPECT_EQ(pool.scratch(0), "");  // re-requesting a slot clears it
-}
-
 // ---------- Datacenter: parallel stepping is bitwise deterministic ----------
 
 cloud::DatacenterConfig small_dc(int num_threads) {
@@ -165,82 +134,45 @@ TEST(ParallelDatacenter, PowerTraceIdenticalAcrossThreadCounts) {
   EXPECT_EQ(serial.any_breaker_tripped(), threaded.any_breaker_tripped());
 }
 
-// ---------- CrossValidator: parallel scan matches serial scan ----------
+// ---------- CrossValidator: serial scan matches the recorded findings ----------
 
-TEST(ParallelScan, FindingsIdenticalAcrossThreadCounts) {
-  auto run_scan = [](int num_threads) {
-    cloud::Server server("scan-host", cloud::local_testbed(), 77, 40 * kDay);
-    leakage::ScanOptions options;
-    options.num_threads = num_threads;
-    leakage::CrossValidator validator(server, options);
-    return validator.scan();
-  };
-  const auto serial = run_scan(1);
-  const auto threaded = run_scan(4);
-  ASSERT_EQ(serial.size(), threaded.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    ASSERT_EQ(serial[i].path, threaded[i].path) << "order diverged at " << i;
-    ASSERT_EQ(serial[i].cls, threaded[i].cls) << serial[i].path;
-  }
+TEST(ScanGolden, ColdFindingsMatchRecording) {
+  cloud::Server server("scan-host", cloud::local_testbed(), 77, 40 * kDay);
+  leakage::CrossValidator validator(server);
+  EXPECT_EQ(findings_digest(validator.scan()), kTable1FindingsDigest);
 }
 
-TEST(ParallelScan, WarmIncrementalFindingsIdenticalAcrossThreadCounts) {
-  // The incremental pipeline (viewer cache, hash-first reuse, lane-local
-  // scratch) must keep warm rescans bitwise-identical across lane counts —
-  // including a rescan after the world moved.
-  auto run_scans = [](int num_threads) {
-    cloud::Server server("warm-scan", cloud::local_testbed(), 77, 40 * kDay);
-    leakage::ScanOptions options;
-    options.num_threads = num_threads;
-    leakage::CrossValidator validator(server, options);
-    validator.scan();                       // cold
-    auto unchanged = validator.scan();      // warm, unchanged world
-    server.step(kSecond);
-    auto moved = validator.scan();          // warm, world moved
-    unchanged.insert(unchanged.end(), moved.begin(), moved.end());
-    return unchanged;
-  };
-  const auto serial = run_scans(1);
-  for (const int lanes : {2, 4, 8}) {
-    const auto threaded = run_scans(lanes);
-    ASSERT_EQ(serial.size(), threaded.size());
-    for (std::size_t i = 0; i < serial.size(); ++i) {
-      ASSERT_EQ(serial[i].path, threaded[i].path) << "order diverged at " << i;
-      ASSERT_EQ(serial[i].cls, threaded[i].cls) << serial[i].path;
-      ASSERT_EQ(serial[i].degraded, threaded[i].degraded) << serial[i].path;
-    }
-  }
+TEST(ScanGolden, WarmIncrementalFindingsMatchRecording) {
+  // The incremental pipeline (viewer cache, hash-first reuse) must keep
+  // warm rescans on the recorded findings — including a rescan after the
+  // world moved.
+  cloud::Server server("warm-scan", cloud::local_testbed(), 77, 40 * kDay);
+  leakage::CrossValidator validator(server);
+  EXPECT_EQ(findings_digest(validator.scan()), kTable1FindingsDigest)
+      << "cold";
+  EXPECT_EQ(findings_digest(validator.scan()), kTable1FindingsDigest)
+      << "warm, unchanged world";
+  server.step(kSecond);
+  EXPECT_EQ(findings_digest(validator.scan()), kTable1FindingsDigest)
+      << "warm, world moved";
 }
 
 // ---------- telemetry rides the same determinism contract ----------
 
-TEST(ParallelTelemetry, SimMetricsAndTraceIdenticalAcrossThreadCounts) {
+TEST(ParallelTelemetry, SimMetricsIdenticalAcrossThreadCounts) {
   // The full instrumented workload — datacenter stepping plus a leak scan —
-  // must leave the metrics registry and the span tracer in bitwise-identical
-  // states at every thread count (Scope::kSim; lane breakdowns are exempt).
+  // must leave the metrics registry in a bitwise-identical state at every
+  // datacenter thread count (Scope::kSim; lane breakdowns are exempt).
   auto run = [](int threads) {
     obs::Registry::global().reset();
-    auto& tracer = obs::SpanTracer::global();
-    const bool was_enabled = tracer.enabled();
-    tracer.drain();
-    tracer.set_enabled(true);
-
     cloud::Datacenter dc(small_dc(threads));
     for (int tick = 0; tick < 30; ++tick) dc.step(kSecond);
     cloud::Server server("scan-host", cloud::local_testbed(), 77, 40 * kDay);
-    leakage::ScanOptions options;
-    options.num_threads = threads;
-    leakage::CrossValidator validator(server, options);
+    leakage::CrossValidator validator(server);
     validator.scan();
-
-    const std::uint64_t sim_digest =
-        obs::Registry::global().snapshot().digest(obs::Scope::kSim);
-    const std::uint64_t trace_digest =
-        obs::SpanTracer::digest(tracer.drain());
-    tracer.set_enabled(was_enabled);
-    return std::make_pair(sim_digest, trace_digest);
+    return obs::Registry::global().snapshot().digest(obs::Scope::kSim);
   };
-  const auto serial = run(1);
+  const std::uint64_t serial = run(1);
   for (int threads : {2, 4, 8}) {
     EXPECT_EQ(run(threads), serial) << threads << " threads";
   }

@@ -40,13 +40,6 @@ struct DcMetrics {
   obs::Counter& idle_coasted_seconds = obs::Registry::global().counter(
       "engine_idle_coasted_sim_seconds_total",
       "sim-seconds advanced through the analytic idle coast");
-  // Runtime scope: an implementation-cost accounting detail, not simulated
-  // state — keeping it out of the kSim digest preserves comparability with
-  // digests recorded before the scalar path was deleted.
-  obs::Counter& allocs_avoided = obs::Registry::global().counter(
-      "step_allocs_avoided_total",
-      "per-tick heap allocations skipped by the batched step hot path",
-      obs::Scope::kRuntime);
 
   static DcMetrics& get() {
     static DcMetrics metrics;
@@ -148,12 +141,7 @@ Datacenter::Datacenter(DatacenterConfig config)
     active_ids_.push_back(static_cast<std::uint32_t>(index));
   }
   power_w_.reserve(count);
-  allocs_avoided_.reserve(count);
-  for (const auto& server : servers_) {
-    power_w_.push_back(server->power_w());
-    allocs_avoided_.push_back(
-        std::as_const(*server).host().step_allocs_avoided());
-  }
+  for (const auto& server : servers_) power_w_.push_back(server->power_w());
   breakers_.assign(static_cast<std::size_t>(config_.num_racks),
                    CircuitBreaker{config_.rack_breaker});
   rack_energy_since_cap_j_.assign(static_cast<std::size_t>(config_.num_racks),
@@ -202,11 +190,9 @@ void Datacenter::wake_(std::uint32_t index) {
   sleeping_[index] = 0;
   --parked_count_;
   // Retire the parked aggregates with the identical pinned values park_
-  // recorded (allocs_avoided_ cannot change while parked: no physics
-  // steps), so add/remove round-trips are exact.
+  // recorded, so add/remove round-trips are exact.
   --parked_power_slots_[parked_slot_[index]];
   parked_mw_sum_ -= parked_mw_[index];
-  parked_allocs_sum_ -= allocs_avoided_[index];
   active_ids_.push_back(index);
 }
 
@@ -220,7 +206,6 @@ void Datacenter::park_(std::uint32_t index, std::size_t pos) {
   parked_mw_[index] = mw;
   ++parked_power_slots_[slot];
   parked_mw_sum_ += mw;
-  parked_allocs_sum_ += allocs_avoided_[index];
   active_ids_[pos] = active_ids_.back();
   active_ids_.pop_back();
   const SimTime wake = servers_[index]->next_wake(now_);
@@ -265,10 +250,8 @@ void Datacenter::step(SimDuration dt) {
       const std::uint32_t index = active_ids_[k];
       Server& server = *servers_[index];
       coasted_[index] = server.step(dt) ? 1 : 0;
-      // Refresh the aggregation caches while the server is hot in cache.
+      // Refresh the aggregation cache while the server is hot in cache.
       power_w_[index] = server.power_w();
-      allocs_avoided_[index] =
-          std::as_const(server).host().step_allocs_avoided();
     }
   });
   now_ += dt;
@@ -297,14 +280,6 @@ void Datacenter::step(SimDuration dt) {
   const std::uint64_t coasted_s = coasted_ns_total_ / kSecond;
   metrics.idle_coasted_seconds.inc(coasted_s - coasted_s_flushed_);
   coasted_s_flushed_ = coasted_s;
-  if (physics_) {
-    std::uint64_t avoided_total = parked_allocs_sum_;
-    for (std::size_t k = 0; k < n_step; ++k) {
-      avoided_total += allocs_avoided_[active_ids_[k]];
-    }
-    metrics.allocs_avoided.inc(avoided_total - allocs_avoided_flushed_);
-    allocs_avoided_flushed_ = avoided_total;
-  }
   // Racks with a stepped server get a fresh index-order fold — the same
   // left-to-right float sum the historical O(N) read performed, so the
   // cached value is bit-identical to it. Parked servers' power is pinned,
@@ -352,72 +327,6 @@ void Datacenter::step(SimDuration dt) {
       park_(index, k);
     }
   }
-}
-
-std::uint64_t Datacenter::coalescible_steps(SimDuration dt,
-                                            std::uint64_t max_steps) const {
-  if (!sparse_ || dt == 0 || max_steps == 0) return 0;
-  if (parked_count_ != servers_.size() || !recheck_ids_.empty()) return 0;
-  std::uint64_t k = max_steps;
-  const SimTime due = wheel_.next_due();
-  if (due != TimerWheel::kNever) {
-    // Virtual step s (1-based) pops the wheel at clock now_ + (s-1)*dt;
-    // safe while that stays strictly before the earliest entry.
-    if (due <= now_) return 0;
-    const SimTime gap = due - now_;
-    k = std::min(k, (gap - 1) / dt + 1);
-  }
-  if (config_.rack_power_cap_w > 0.0) {
-    // Never coalesce across a capping window: the capper resets per-rack
-    // energy state and can end coast episodes.
-    const SimTime since = now_ - last_cap_check_;
-    if (since >= config_.capping_interval) return 0;
-    const SimTime rem = config_.capping_interval - since;
-    k = std::min(k, (rem - 1) / dt);
-  }
-  return k;
-}
-
-void Datacenter::step_coalesced(SimDuration dt, std::uint64_t k) {
-  if (k == 0) return;
-  assert(k <= coalescible_steps(dt, k) &&
-         "step_coalesced: stride exceeds the coalescible window");
-  if (coalescible_steps(dt, k) < k) {
-    // Contract violation in release builds: degrade to the exact path.
-    for (std::uint64_t s = 0; s < k; ++s) step(dt);
-    return;
-  }
-  auto& metrics = DcMetrics::get();
-  // Per-step float state is replayed one virtual step at a time: breaker
-  // thermal/magnetic integration and the rack energy window are not
-  // split-invariant in float arithmetic, but with every server parked the
-  // rack power they observe is a constant — so the serial replay below is
-  // bitwise-identical to k plain step() calls at O(k * racks) with no
-  // server visits.
-  for (std::uint64_t s = 0; s < k; ++s) {
-    now_ += dt;
-    for (int rack = 0; rack < config_.num_racks; ++rack) {
-      const double power = rack_power_cache_[static_cast<std::size_t>(rack)];
-      auto& breaker = breakers_[static_cast<std::size_t>(rack)];
-      const bool was_tripped = breaker.tripped();
-      breaker.observe(power, dt);
-      if (!was_tripped && breaker.tripped()) metrics.breaker_trips.inc();
-      rack_energy_since_cap_j_[static_cast<std::size_t>(rack)] +=
-          power * to_seconds(dt);
-    }
-  }
-  // Integer telemetry lands in bulk: k steps of an all-parked facility are
-  // k identical pre-binned contributions.
-  metrics.steps.inc(k);
-  metrics.step_ns.observe_n(dt, k);
-  coasted_ns_total_ += static_cast<std::uint64_t>(dt) * parked_count_ * k;
-  metrics.server_power.add_bucket_counts(parked_power_slots_.data(),
-                                         parked_power_slots_.size(),
-                                         parked_mw_sum_, k);
-  const std::uint64_t coasted_s = coasted_ns_total_ / kSecond;
-  metrics.idle_coasted_seconds.inc(coasted_s - coasted_s_flushed_);
-  coasted_s_flushed_ = coasted_s;
-  metrics.total_power.set(total_power_cache_);
 }
 
 void Datacenter::apply_rack_capping(int rack) {

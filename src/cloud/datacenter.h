@@ -83,22 +83,6 @@ class Datacenter {
   /// calling thread, and finally park every server that is provably idle.
   void step(SimDuration dt);
 
-  /// How many whole steps of `dt`, starting now, are *globally
-  /// uninteresting*: every server parked, no pending rechecks, no wheel
-  /// pop and no capping window inside them. 0 whenever any server is
-  /// active. Bounded by `max_steps`. The engine uses this to take one
-  /// variable-length stride across idle stretches (step_coalesced).
-  [[nodiscard]] std::uint64_t coalescible_steps(
-      SimDuration dt, std::uint64_t max_steps) const;
-
-  /// Advance `k` steps of `dt` at once. Precondition: k <=
-  /// coalescible_steps(dt, k) — asserted in debug builds, and falls back
-  /// to plain per-step execution otherwise. Per-step float state
-  /// (breaker thermal integration, rack energy windows) is replayed
-  /// serially per virtual step so the result is bitwise-identical to k
-  /// plain step() calls; integer telemetry lands in bulk.
-  void step_coalesced(SimDuration dt, std::uint64_t k);
-
   [[nodiscard]] SimTime now() const noexcept { return now_; }
   [[nodiscard]] int num_servers() const noexcept {
     return static_cast<int>(servers_.size());
@@ -181,7 +165,6 @@ class Datacenter {
   std::vector<CircuitBreaker> breakers_;
   std::vector<double> rack_energy_since_cap_j_;  ///< for the capper's average
   SimTime last_cap_check_ = 0;
-  std::uint64_t allocs_avoided_flushed_ = 0;  ///< metric high-water mark
 
   // Scheduler state. Per-server flags are written only by the lane that
   // owns the server during the parallel phase and read serially after the
@@ -203,7 +186,6 @@ class Datacenter {
   std::vector<std::uint8_t> parked_slot_;  ///< per-server slot at park time
   std::vector<std::uint64_t> parked_mw_;   ///< per-server mW at park time
   std::uint64_t parked_mw_sum_ = 0;
-  std::uint64_t parked_allocs_sum_ = 0;
   std::uint64_t coasted_ns_total_ = 0;
   std::uint64_t coasted_s_flushed_ = 0;  ///< counter high-water mark
   // Incremental power aggregation: per-rack sums recomputed only for
@@ -212,13 +194,11 @@ class Datacenter {
   double total_power_cache_ = 0.0;
   std::vector<std::uint8_t> rack_dirty_;
   std::vector<std::uint32_t> dirty_racks_;
-  // Post-step aggregation caches, refreshed whenever a server takes a real
-  // step. Both values are pinned while a server coasts (power at episode
-  // entry, no physics steps to avoid allocations in), so reading the cache
-  // is exactly reading the server — without the per-server pointer chase
-  // that would otherwise dominate sparse facility steps.
+  // Post-step power cache, refreshed whenever a server takes a real step.
+  // Power is pinned while a server coasts (at episode entry), so reading
+  // the cache is exactly reading the server — without the per-server
+  // pointer chase that would otherwise dominate sparse facility steps.
   std::vector<double> power_w_;
-  std::vector<std::uint64_t> allocs_avoided_;
 };
 
 }  // namespace cleaks::cloud

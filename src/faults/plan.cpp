@@ -1,5 +1,8 @@
 #include "faults/plan.h"
 
+#include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <string>
 
@@ -99,9 +102,7 @@ class PlanParser {
       if (!consume(':')) return fail("expected ':' after \"" + key + "\"");
       skip_ws();
       if (key == "seed") {
-        double seed = 0.0;
-        if (!parse_number(seed)) return fail("bad seed");
-        plan.seed = static_cast<std::uint64_t>(seed);
+        if (!parse_u64(plan.seed)) return fail("bad seed");
       } else if (key == "rules") {
         const Status rules = parse_rules(plan.rules);
         if (!rules.is_ok()) return rules;
@@ -155,24 +156,18 @@ class PlanParser {
         rule.kind = kind.value();
       } else if (key == "path_glob") {
         if (!parse_string(rule.path_glob)) return fail("bad path_glob");
-      } else {
-        double number = 0.0;
+      } else if (key == "rate" || key == "scale") {
+        double& number = key == "rate" ? rule.rate : rule.scale;
         if (!parse_number(number)) return fail("bad number for " + key);
-        if (key == "rate") {
-          rule.rate = number;
-        } else if (key == "period_ns") {
-          rule.period = static_cast<SimDuration>(number);
-        } else if (key == "duration_ns") {
-          rule.duration = static_cast<SimDuration>(number);
-        } else if (key == "start_ns") {
-          rule.start = static_cast<SimTime>(number);
-        } else if (key == "end_ns") {
-          rule.end = static_cast<SimTime>(number);
-        } else if (key == "scale") {
-          rule.scale = number;
-        } else {
-          return fail("unknown rule member: " + key);
-        }
+      } else if (key == "period_ns" || key == "duration_ns" ||
+                 key == "start_ns" || key == "end_ns") {
+        std::uint64_t& ns = key == "period_ns"     ? rule.period
+                            : key == "duration_ns" ? rule.duration
+                            : key == "start_ns"    ? rule.start
+                                                   : rule.end;
+        if (!parse_u64(ns)) return fail("bad integer for " + key);
+      } else {
+        return fail("unknown rule member: " + key);
       }
       skip_ws();
       if (consume(',')) {
@@ -216,7 +211,22 @@ class PlanParser {
           case 'n': out.push_back('\n'); break;
           case 't': out.push_back('\t'); break;
           case 'r': out.push_back('\r'); break;
-          default: return false;  // \uXXXX etc: the writer never emits them
+          case 'u': {
+            // The writer escapes control bytes as \u00XX; code points
+            // beyond ASCII would need a UTF-8 encoder this reader lacks.
+            unsigned code = 0;
+            const char* digits = text_.data() + pos_;
+            const auto [end, ec] = std::from_chars(
+                digits, digits + std::min<std::size_t>(4, text_.size() - pos_),
+                code, 16);
+            if (ec != std::errc{} || end != digits + 4 || code >= 0x80) {
+              return false;
+            }
+            pos_ += 4;
+            out.push_back(static_cast<char>(code));
+            break;
+          }
+          default: return false;
         }
         continue;
       }
@@ -225,6 +235,20 @@ class PlanParser {
     return false;  // unterminated
   }
 
+  /// A plain decimal integer (no sign, fraction or exponent) that fits in
+  /// 64 bits — exactly what the writer emits for seeds and nanoseconds.
+  bool parse_u64(std::uint64_t& out) {
+    const char* begin = text_.data() + pos_;
+    const char* end = text_.data() + text_.size();
+    if (begin == end || *begin < '0' || *begin > '9') return false;
+    const auto [stop, ec] = std::from_chars(begin, end, out);
+    if (ec != std::errc{}) return false;
+    pos_ += static_cast<std::size_t>(stop - begin);
+    return true;
+  }
+
+  /// A finite number (non-finite values have no JSON spelling to write
+  /// back).
   bool parse_number(double& out) {
     const std::size_t begin = pos_;
     while (pos_ < text_.size()) {
@@ -240,7 +264,7 @@ class PlanParser {
     const std::string token(text_.substr(begin, pos_ - begin));
     char* parse_end = nullptr;
     out = std::strtod(token.c_str(), &parse_end);
-    return parse_end == token.c_str() + token.size();
+    return parse_end == token.c_str() + token.size() && std::isfinite(out);
   }
 
   Status fail(std::string why) const {

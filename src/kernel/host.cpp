@@ -619,13 +619,11 @@ int Host::package_of_core(int core) const noexcept {
 void Host::integrate_energy(SimDuration dt) {
   const double dt_sec = to_seconds(dt);
   double total_package_j = 0.0;
-  // Member scratch, zeroed in place: two heap allocations per tick avoided
-  // relative to the deleted object-at-a-time path.
+  // Member scratch, zeroed in place: no per-tick heap allocation.
   pkg_core_j_.assign(pkg_core_j_.size(), 0.0);
   pkg_dram_j_.assign(pkg_dram_j_.size(), 0.0);
   double* pkg_core_j = pkg_core_j_.data();
   double* pkg_dram_j = pkg_dram_j_.data();
-  step_allocs_avoided_ += 2;
 
   for (int core = 0; core < spec_.num_cores; ++core) {
     const auto& activity =

@@ -244,13 +244,6 @@ class Host {
   void bind_physics(hw::BatchedPhysics& plane, std::size_t lane);
   /// Whether this host's hardware state lives on a BatchedPhysics lane.
   [[nodiscard]] bool batched() const noexcept { return batched_; }
-  /// Heap allocations skipped so far by the tick loop relative to the
-  /// deleted object-at-a-time path (two per-tick package scratch vectors).
-  /// Plain accumulator; the Datacenter flushes it into the runtime-scoped
-  /// `step_allocs_avoided_total` metric.
-  [[nodiscard]] std::uint64_t step_allocs_avoided() const noexcept {
-    return step_allocs_avoided_;
-  }
 
  private:
   /// Per-dt factors that are pure functions of the tick length (thermal RC
@@ -319,7 +312,6 @@ class Host {
   TickFactors factors_;   ///< per-dt factor cache
   std::vector<double> pkg_core_j_;  ///< per-tick package scratch
   std::vector<double> pkg_dram_j_;
-  std::uint64_t step_allocs_avoided_ = 0;
   std::uint32_t event_source_ = 0;  ///< see set_event_source()
 
   NamespaceRegistry ns_registry_;

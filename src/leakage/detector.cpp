@@ -294,8 +294,8 @@ std::vector<FileFinding> CrossValidator::scan() {
   // has moved since the cache was stored — generation, render epoch and
   // viewer fingerprint all match, so both context renders of every
   // eligible path are byte-identical to the cached pass by construction.
-  const bool warm = options_.incremental && cache_valid_ &&
-                    cache_viewer_key_ == viewer_key && cache_paths_ == paths;
+  const bool warm = cache_valid_ && cache_viewer_key_ == viewer_key &&
+                    cache_paths_ == paths;
   const bool unchanged = warm && cache_generation_ == start_generation &&
                          cache_epoch_ == start_epoch &&
                          cache_fingerprint_ == start_fingerprint;
@@ -510,49 +510,46 @@ std::vector<FileFinding> CrossValidator::scan() {
   // settled world so the next warm scan has a matchable key. A scan that
   // never stepped keeps its Phase-A digests (or, in the unchanged fast
   // path, carries the still-current cached entries forward).
-  if (options_.incremental) {
-    const std::uint64_t end_generation = server_->host().state_generation();
-    const bool stepped = end_generation != start_generation;
-    if (stepped) {
-      for (std::size_t i = 0; i < n; ++i) {
-        digest_ok[i] = 0;
-        if (faulted[i] != 0 || findings[i].degraded) continue;
-        if (probe.read_file_into(paths[i], container_buf) != StatusCode::kOk ||
-            pseudo.read_into(paths[i], host_ctx, host_buf) != StatusCode::kOk) {
-          continue;
-        }
-        container_digest[i] = fnv1a64(container_buf);
-        host_digest[i] = fnv1a64(host_buf);
-        digest_ok[i] = 1;
-      }
-    }
-    std::vector<PathCache> next(n);
+  const std::uint64_t end_generation = server_->host().state_generation();
+  const bool stepped = end_generation != start_generation;
+  if (stepped) {
     for (std::size_t i = 0; i < n; ++i) {
-      PathCache& entry = next[i];
-      entry.cls = findings[i].cls;
-      // Fault-covered and degraded verdicts are never reusable.
+      digest_ok[i] = 0;
       if (faulted[i] != 0 || findings[i].degraded) continue;
-      if (digest_ok[i] != 0) {
-        entry.container_digest = container_digest[i];
-        entry.host_digest = host_digest[i];
-        entry.has_digests = true;
-        entry.valid = true;
-      } else if (!stepped && reused[i] != 0 && warm && cache_[i].valid) {
-        entry = cache_[i];  // unchanged world, zero reads: still current
-      } else if (findings[i].cls == LeakClass::kMasked) {
-        entry.valid = true;  // no bytes to digest; the epoch key covers it
+      if (probe.read_file_into(paths[i], container_buf) != StatusCode::kOk ||
+          pseudo.read_into(paths[i], host_ctx, host_buf) != StatusCode::kOk) {
+        continue;
       }
+      container_digest[i] = fnv1a64(container_buf);
+      host_digest[i] = fnv1a64(host_buf);
+      digest_ok[i] = 1;
     }
-    cache_ = std::move(next);
-    cache_paths_ = paths;
-    cache_generation_ = end_generation;
-    cache_epoch_ = pseudo.render_epoch();
-    cache_fingerprint_ = fs::PseudoFs::viewer_state_fingerprint(viewer);
-    cache_viewer_key_ = viewer_key;
-    cache_valid_ = true;
-  } else {
-    cache_valid_ = false;
   }
+  std::vector<PathCache> next(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    PathCache& entry = next[i];
+    entry.cls = findings[i].cls;
+    // Fault-covered and degraded verdicts are never reusable.
+    if (faulted[i] != 0 || findings[i].degraded) continue;
+    if (digest_ok[i] != 0) {
+      entry.container_digest = container_digest[i];
+      entry.host_digest = host_digest[i];
+      entry.has_digests = true;
+      entry.valid = true;
+    } else if (!stepped && reused[i] != 0 && warm && cache_[i].valid) {
+      entry = cache_[i];  // unchanged world, zero reads: still current
+    } else if (findings[i].cls == LeakClass::kMasked) {
+      entry.valid = true;  // no bytes to digest; the epoch key covers it
+    }
+  }
+  cache_ = std::move(next);
+  cache_paths_ = paths;
+  cache_generation_ = end_generation;
+  cache_epoch_ = pseudo.render_epoch();
+  cache_fingerprint_ = fs::PseudoFs::viewer_state_fingerprint(viewer);
+  cache_viewer_key_ = viewer_key;
+  cache_valid_ = true;
+
   // Findings are in fixed path order, so emission order (and hence the
   // merged stream) is a pure function of the scan outcome.
   if (auto& bus = obs::EventBus::global(); bus.enabled()) {

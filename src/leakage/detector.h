@@ -62,13 +62,6 @@ struct ScanOptions {
   /// fault-free scan takes zero extra steps.
   int max_read_retries = 3;
   SimDuration retry_backoff = 300 * kMillisecond;
-  /// Reuse classifications across repeated scan() calls on the same
-  /// validator (the hash-first incremental pipeline). The first scan on a
-  /// validator is always a full cold pass; a repeat scan re-renders only
-  /// what moved since the stored (generation, epoch, fingerprint) key and
-  /// reuses prior classifications for the rest — paths covered by a fault
-  /// rule always run the full protocol. False forces every scan cold.
-  bool incremental = true;
   /// Probe container configuration for scan(); nullopt = the historical
   /// default (a quarter of the host cores, 4 GiB).
   std::optional<container::ContainerConfig> probe_config;
@@ -97,9 +90,9 @@ class CrossValidator {
   ///      re-running the cycle per path as classify() does.
   /// The probe container is created on the first scan and retained until
   /// the validator is destroyed (per-scan create/destroy would bump the
-  /// host generation, defeating generation-keyed reuse). With
-  /// ScanOptions::incremental, repeat scans are hash-first: a scan whose
-  /// (generation, render epoch, viewer fingerprint) key is unchanged
+  /// host generation, defeating generation-keyed reuse). The first scan on
+  /// a validator is a full cold pass; repeat scans are hash-first: a scan
+  /// whose (generation, render epoch, viewer fingerprint) key is unchanged
   /// reuses cached classifications with *zero* re-renders for
   /// cache-eligible paths and zero sim steps; a scan whose key moved
   /// re-renders everything but skips Phase B for undecided paths whose

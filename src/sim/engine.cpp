@@ -28,13 +28,6 @@ struct SimMetrics {
   obs::Counter& churn_storms = obs::Registry::global().counter(
       "sim_churn_storms_total",
       "provider create/destroy storms fired (ChurnSpec)");
-  // Runtime scope: a cost-accounting detail of the stepping strategy, and
-  // keeping it out of the kSim digest preserves digests recorded before
-  // coalescing existed.
-  obs::Counter& coalesced_steps = obs::Registry::global().counter(
-      "sim_engine_coalesced_steps_total",
-      "engine steps absorbed into variable-length idle strides",
-      obs::Scope::kRuntime);
 
   static SimMetrics& get() {
     static SimMetrics metrics;
@@ -377,19 +370,6 @@ void SimEngine::step(SimDuration dt) {
   } else {
     peak_rack_w_ = std::max(peak_rack_w_, total);
   }
-  drain_event_stream_();
-
-  ++steps_;
-  sim_seconds_ += to_seconds(dt);
-  SimMetrics::get().steps.inc();
-
-  if (on_step_) {
-    const StepContext ctx{static_cast<int>(steps_) - 1, now(), total};
-    on_step_(*this, ctx);
-  }
-}
-
-void SimEngine::drain_event_stream_() {
   // Measurement-phase drain: the bus is quiescent here (the parallel
   // server step joined above), so the merge sees every lane's ring whole.
   // Draining every step keeps the rings far from wrapping, which is what
@@ -404,42 +384,15 @@ void SimEngine::drain_event_stream_() {
     auto& recorder = obs::FlightRecorder::global();
     if (recorder.enabled()) recorder.feed(batch);
   }
-}
 
-std::uint64_t SimEngine::coalesce_(SimDuration dt, std::uint64_t max_steps) {
-  if (max_steps <= 1 || dt == 0) return 0;
-  // Anything that acts on per-step boundaries outside the datacenter
-  // disqualifies the stride: the fault schedule draws per step, the
-  // provider meters billing per step, fleet control samples per step, and
-  // hooks observe each step. (A deployed fleet also pins its servers
-  // active — containers end coast eligibility — so the facility gate
-  // below would refuse anyway; the control_ check is belt and braces.)
-  if (!dc_ || provider_ || fault_injector_ || on_step_ ||
-      control_ != FleetSpec::Control::kIdle) {
-    return 0;
+  ++steps_;
+  sim_seconds_ += to_seconds(dt);
+  SimMetrics::get().steps.inc();
+
+  if (on_step_) {
+    const StepContext ctx{static_cast<int>(steps_) - 1, now(), total};
+    on_step_(*this, ctx);
   }
-  const std::uint64_t k = dc_->coalescible_steps(dt, max_steps);
-  if (k == 0) return 0;
-  dc_->step_coalesced(dt, k);
-  fault_step_ += k;
-  steps_ += k;
-  // Replay the float accumulation per virtual step — += k*to_seconds(dt)
-  // would round differently than k separate adds.
-  for (std::uint64_t s = 0; s < k; ++s) sim_seconds_ += to_seconds(dt);
-  SimMetrics::get().steps.inc(k);
-  SimMetrics::get().coalesced_steps.inc(k);
-  // Peaks and the breaker flag fold a world that was constant across the
-  // stride, so observing it once equals observing it k times.
-  const double total = total_power_w();
-  peak_total_w_ = std::max(peak_total_w_, total);
-  for (int rack = 0; rack < spec_.datacenter.num_racks; ++rack) {
-    peak_rack_w_ = std::max(peak_rack_w_, dc_->rack_power_w(rack));
-  }
-  if (dc_->any_breaker_tripped()) breaker_tripped_ = true;
-  // No server stepped, so no events were emitted; the drain is the same
-  // empty-batch identity k plain steps would have folded.
-  drain_event_stream_();
-  return k;
 }
 
 void SimEngine::enable_event_stream(SimDuration window_width) {
@@ -454,14 +407,6 @@ void SimEngine::enable_event_stream(SimDuration window_width) {
 void SimEngine::run_steps(int steps, SimDuration dt, const StepHook& hook,
                           std::string_view label) {
   for (int i = 0; i < steps; ++i) {
-    if (!hook) {
-      const std::uint64_t k =
-          coalesce_(dt, static_cast<std::uint64_t>(steps - i));
-      if (k > 0) {
-        i += static_cast<int>(k) - 1;
-        continue;
-      }
-    }
     step(dt);
     if (hook) {
       const StepContext ctx{i, now(), total_power_w()};
@@ -480,14 +425,6 @@ void SimEngine::run_for(SimDuration total, SimDuration dt,
   int i = 0;
   SimDuration left = total;
   while (left > 0) {
-    if (!hook && left >= dt) {
-      const std::uint64_t k = coalesce_(dt, left / dt);
-      if (k > 0) {
-        left -= dt * k;
-        i += static_cast<int>(k);
-        continue;
-      }
-    }
     const SimDuration step_dt = left < dt ? left : dt;
     step(step_dt);
     if (hook) {
@@ -505,16 +442,6 @@ void SimEngine::run_until(SimTime target, SimDuration dt, const StepHook& hook,
                           std::string_view label) {
   int i = 0;
   while (now() < target) {
-    if (!hook) {
-      // Plain stepping takes ceil(remaining / dt) steps (the last one may
-      // overshoot target); bound the stride by the same count.
-      const SimTime remaining = target - now();
-      const std::uint64_t k = coalesce_(dt, (remaining - 1) / dt + 1);
-      if (k > 0) {
-        i += static_cast<int>(k);
-        continue;
-      }
-    }
     step(dt);
     if (hook) {
       const StepContext ctx{i, now(), total_power_w()};

@@ -122,7 +122,7 @@ class SimEngine {
   /// measurement phase every step (merged stream fed to the window
   /// aggregator when `window_width` > 0, and to the global flight
   /// recorder when that is enabled). The accumulated stream digest is
-  /// lane-count-independent: same contract as metrics and spans.
+  /// lane-count-independent: same contract as the Scope::kSim metrics.
   void enable_event_stream(SimDuration window_width = 0);
   [[nodiscard]] std::uint64_t event_stream_digest() const noexcept {
     return events_digest_;
@@ -142,13 +142,6 @@ class SimEngine {
   void step(SimDuration dt);
   /// Run `steps` steps of `dt`; `hook` fires after each (in addition to
   /// the persistent on_step hook); the epoch hook fires once at the end.
-  ///
-  /// All run_* loops coalesce: across a stretch where the facility reports
-  /// every server parked and no wheel pop, capping window, fault schedule,
-  /// provider or hook needs a per-step boundary, they take one
-  /// variable-length stride (Datacenter::step_coalesced) instead of k
-  /// fixed steps — bitwise-identical results (pinned by sim_test), just
-  /// fewer loop iterations.
   void run_steps(int steps, SimDuration dt, const StepHook& hook = {},
                  std::string_view label = {});
   /// Advance the sim clock by exactly `total`: steps of `dt`, ending with
@@ -206,14 +199,6 @@ class SimEngine {
   /// Fire due churn storms (ProviderSpec::churn) — part of the fleet
   /// control phase, right after physics.
   void step_churn_();
-  /// Measurement-phase event drain, shared by step() and coalesce_().
-  void drain_event_stream_();
-  /// Try one variable-length stride of up to `max_steps` steps of `dt`.
-  /// Returns how many steps were absorbed (0: take a plain step instead).
-  /// Only fires when nothing needs a per-step boundary: no per-call hook
-  /// at the call site, no persistent hook, no provider/faults/fleet
-  /// control, and the facility itself reports the stretch uninteresting.
-  std::uint64_t coalesce_(SimDuration dt, std::uint64_t max_steps);
 
   ScenarioSpec spec_;
   std::unique_ptr<faults::FaultInjector> fault_injector_;

@@ -255,24 +255,6 @@ TEST(BatchedPhysics, GeometryIsValidated) {
   EXPECT_THROW(server.bind_physics(mismatched, 0), std::invalid_argument);
 }
 
-TEST(BatchedMetrics, AllocsAvoidedIsRuntimeScopedAndCounting) {
-  // The hoisted-scratch counter must observe real savings but stay out of
-  // the kSim digest (it is a property of the execution strategy, not of
-  // the simulated world).
-  obs::Registry::global().reset();
-  cloud::Datacenter dc(facility(1));
-  for (int tick = 0; tick < 5; ++tick) dc.step(kSecond);
-  const auto snapshot = obs::Registry::global().snapshot();
-  bool found = false;
-  for (const auto& metric : snapshot.metrics) {
-    if (metric.name != "step_allocs_avoided_total") continue;
-    found = true;
-    EXPECT_EQ(metric.scope, obs::Scope::kRuntime);
-    EXPECT_GT(metric.counter, 0u);
-  }
-  EXPECT_TRUE(found);
-}
-
 // ---------- bound per-cpu storage ----------
 
 TEST(PerCpuNs, BindMigratesValuesAndCapsGrowth) {

@@ -2,8 +2,10 @@
 // JSON round-trip, the pure-draw determinism contract, graceful
 // degradation in the scanner / monitor / trainer, and the cross-lane
 // digest of a fully faulted scan.
+#include <cstdint>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -17,6 +19,7 @@
 #include "obs/metrics.h"
 #include "scan_digest.h"
 #include "sim/engine.h"
+#include "util/rng.h"
 
 namespace cleaks::faults {
 namespace {
@@ -130,6 +133,103 @@ TEST(FaultPlanTest, ParseRejectsMalformedDocuments) {
                   .Matches(StatusCode::kInvalidArgument, "trailing"));
   EXPECT_TRUE(parse_plan_json("[1, 2]").status().Matches(
       StatusCode::kInvalidArgument, "expected '{'"));
+  // Integer fields take plain unsigned decimals that fit in 64 bits; a
+  // cast from an out-of-range double would be undefined behaviour.
+  EXPECT_TRUE(parse_plan_json("{\"seed\": -1}").status().Matches(
+      StatusCode::kInvalidArgument, "bad seed"));
+  EXPECT_TRUE(parse_plan_json("{\"seed\": 18446744073709551616}")
+                  .status()
+                  .Matches(StatusCode::kInvalidArgument, "bad seed"));
+  EXPECT_TRUE(parse_plan_json("{\"rules\": [{\"period_ns\": 1e30}]}")
+                  .status()
+                  .Matches(StatusCode::kInvalidArgument, "in rule object"));
+  // A non-finite rate has no JSON spelling the writer could emit.
+  EXPECT_TRUE(parse_plan_json("{\"rules\": [{\"rate\": 1e999}]}")
+                  .status()
+                  .Matches(StatusCode::kInvalidArgument, "bad number"));
+}
+
+TEST(FaultPlanTest, ExtremeSeedsAndControlBytesRoundTrip) {
+  FaultPlan plan;
+  plan.seed = ~std::uint64_t{0};
+  FaultRule rule;
+  rule.path_glob = "/proc/\r\x01**";  // the writer escapes both as \u00XX
+  rule.end = ~std::uint64_t{0};
+  plan.rules.push_back(rule);
+  obs::JsonWriter json;
+  append_plan_json(plan, json);
+  json.end_object();
+  const auto parsed = parse_plan_json(json.str());
+  ASSERT_TRUE(parsed.is_ok()) << parsed.status().message();
+  expect_plans_equal(parsed.value(), plan);
+}
+
+// Seeded byte-level mutation of well-formed plan documents: every parse
+// must come back Ok or kInvalidArgument (never crash, never another code),
+// and every plan the reader accepts must survive the writer unchanged.
+TEST(FaultPlanTest, SeededMutationsNeverCrashAndReparsedPlansRoundTrip) {
+  obs::JsonWriter writer;
+  append_plan_json(sample_plan(), writer);
+  writer.end_object();
+  const std::vector<std::string> seeds = {
+      writer.str(),
+      "{\"seed\": 7, \"rules\": [{\"kind\": \"permanent-deny\","
+      " \"path_glob\": \"/sys/**\"}]}"};
+  // Half the inserted bytes come from the grammar's own alphabet so
+  // mutants reach past the first syntax error.
+  constexpr std::string_view kAlphabet = "{}[]:,\"\\-+.eE0123456789 ";
+  Rng rng(0xf00d);
+  int accepted = 0;
+  for (int trial = 0; trial < 20000; ++trial) {
+    std::string doc = seeds[trial % seeds.size()];
+    const int mutations = static_cast<int>(rng.uniform_u64(1, 3));
+    for (int m = 0; m < mutations && !doc.empty(); ++m) {
+      const std::size_t at = rng.uniform_u64(0, doc.size() - 1);
+      switch (rng.uniform_u64(0, 4)) {
+        case 0:  // flip
+          doc[at] = static_cast<char>(doc[at] ^ rng.uniform_u64(1, 255));
+          break;
+        case 1: {  // insert
+          const char byte =
+              rng.bernoulli(0.5)
+                  ? kAlphabet[rng.uniform_u64(0, kAlphabet.size() - 1)]
+                  : static_cast<char>(rng.uniform_u64(0, 255));
+          doc.insert(at, 1, byte);
+          break;
+        }
+        case 2:  // delete
+          doc.erase(at, 1);
+          break;
+        case 3:  // truncate
+          doc.resize(at);
+          break;
+        default: {  // duplicate a span in place
+          const std::size_t len = rng.uniform_u64(1, 16);
+          doc.insert(at, doc.substr(at, len));
+          break;
+        }
+      }
+    }
+    const auto parsed = parse_plan_json(doc);
+    if (!parsed.is_ok()) {
+      ASSERT_EQ(parsed.status().code(), StatusCode::kInvalidArgument)
+          << "trial " << trial << ": " << doc;
+      continue;
+    }
+    ++accepted;
+    obs::JsonWriter json;
+    append_plan_json(parsed.value(), json);
+    json.end_object();
+    const auto reparsed = parse_plan_json(json.str());
+    ASSERT_TRUE(reparsed.is_ok())
+        << "trial " << trial << ": " << reparsed.status().message() << "\n"
+        << doc << "\nre-serialised as\n" << json.str();
+    expect_plans_equal(reparsed.value(), parsed.value());
+    ASSERT_FALSE(HasFailure()) << "trial " << trial << ": " << doc;
+  }
+  // The mutants must exercise the accept path too, or the round trip
+  // above checks nothing.
+  EXPECT_GT(accepted, 100);
 }
 
 // ---------- injector semantics ----------

@@ -246,27 +246,6 @@ TEST(Incremental, PerturbedWorldRescanKeepsClassifications) {
   EXPECT_GT(reused.value(), reused_before);
 }
 
-TEST(Incremental, DisabledIncrementalScansStayCold) {
-  cloud::Server server("cold-host", cloud::local_testbed(), 77, 40 * kDay);
-  ScanOptions options;
-  options.incremental = false;
-  CrossValidator validator(server, options);
-  const auto first = validator.scan();
-  auto& reused =
-      obs::Registry::global().counter("scan_paths_reused_total", "");
-  auto& avoided =
-      obs::Registry::global().counter("scan_renders_avoided_total", "");
-  const std::uint64_t reused_before = reused.value();
-  const std::uint64_t avoided_before = avoided.value();
-  const auto second = validator.scan();
-  ASSERT_EQ(second.size(), first.size());
-  for (std::size_t i = 0; i < first.size(); ++i) {
-    EXPECT_EQ(second[i].cls, first[i].cls) << second[i].path;
-  }
-  EXPECT_EQ(reused.value(), reused_before);    // no reuse when disabled
-  EXPECT_EQ(avoided.value(), avoided_before);  // every render ran again
-}
-
 TEST(Detector, LeakClassNames) {
   EXPECT_EQ(to_string(LeakClass::kLeaking), "LEAKING");
   EXPECT_EQ(to_string(LeakClass::kPartial), "PARTIAL");

@@ -1,6 +1,7 @@
 // Tests for the scenario engine (src/sim): spec defaults and JSON
 // serialization, the cross-lane determinism contract, and the golden
 // pin of Fig 3's pre-refactor headline numbers.
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -197,34 +198,27 @@ TEST(SimEngineTest, RunForAdvancesExactlyTotalWithFinalPartialStep) {
   EXPECT_EQ(engine.result().steps, 7u);
 }
 
-// ---------- variable-length stride equivalence ----------
+// ---------- idle capped facility ----------
 
-// Everything a run can surface: rendered pseudo-files, the engine's
-// measured-window results, and the full Scope::kSim metrics digest.
-struct StrideOutcome {
-  std::vector<std::string> files;
-  SimTime end = 0;
-  std::uint64_t steps = 0;
-  double sim_seconds = 0.0;
-  double peak_total_w = 0.0;
-  double peak_rack_w = 0.0;
-  std::uint64_t sim_digest = 0;
-
-  bool operator==(const StrideOutcome&) const = default;
-};
-
-// A mostly-idle capped facility with one on/off server: strides must end
-// at wheel wakeups AND capping windows. `fixed` pins the per-step path by
-// installing a no-op hook (hooks observe every step, so they disable
-// coalescing); without it run_for takes variable-length strides.
-StrideOutcome run_strided(bool fixed, int num_threads) {
+// A mostly-idle capped facility with one on/off server, run for 30 min:
+// servers park and wake on the wheel while the capper's windows and the
+// rack breakers keep observing every rack. The breakers are rated below
+// the racks' ~600 W draw (and can hold far more heat than 30 min of that
+// overload builds), so their thermal integration — per-step float state —
+// moves every step. Returns FNV-1a over everything the run can surface:
+// every server's rendered pseudo-files and hexfloat power, the breakers,
+// the clock, the engine's measured-window results, and the full
+// Scope::kSim metrics digest.
+std::uint64_t idle_capped_digest(int num_threads) {
   obs::Registry::global().reset();
   ScenarioSpec spec;
-  spec.name = "stride-eq";
+  spec.name = "idle-capped";
   spec.datacenter.num_racks = 2;
   spec.datacenter.servers_per_rack = 4;
   spec.datacenter.benign_load = false;
   spec.datacenter.rack_power_cap_w = 1500.0;
+  spec.datacenter.rack_breaker.rated_w = 500.0;
+  spec.datacenter.rack_breaker.thermal_capacity = 1e6;
   spec.datacenter.seed = 77;
   spec.datacenter.num_threads = num_threads;
   spec.datacenter.sparse = 1;
@@ -235,46 +229,51 @@ StrideOutcome run_strided(bool fixed, int num_threads) {
   params.phase = 30 * kSecond;
   params.workers = 4;
   engine.datacenter().server(0).enable_onoff_load(params);
-  const SimEngine::StepHook hook =
-      fixed ? SimEngine::StepHook([](SimEngine&, const StepContext&) {})
-            : SimEngine::StepHook{};
-  engine.run_for(30 * kMinute, kSecond, hook);
-  StrideOutcome out;
+  engine.run_for(30 * kMinute, kSecond);
+  std::uint64_t hash = 1469598103934665603ull;
+  const auto mix = [&hash](const std::string& bytes) {
+    for (const char c : bytes) {
+      hash ^= static_cast<unsigned char>(c);
+      hash *= 1099511628211ull;
+    }
+  };
   const fs::ViewContext ctx;
   for (int i = 0; i < engine.num_servers(); ++i) {
     cloud::Server& server = engine.server(i);
-    std::string blob = server.fs().read("/proc/stat", ctx).value();
-    blob += server.fs().read("/proc/uptime", ctx).value();
-    blob += server.fs().read("/proc/loadavg", ctx).value();
-    blob += server.fs().read("/proc/interrupts", ctx).value();
-    blob += hexfloat(server.power_w());
-    out.files.push_back(std::move(blob));
+    mix(server.fs().read("/proc/stat", ctx).value());
+    mix(server.fs().read("/proc/uptime", ctx).value());
+    mix(server.fs().read("/proc/loadavg", ctx).value());
+    mix(server.fs().read("/proc/interrupts", ctx).value());
+    mix(hexfloat(server.power_w()));
   }
-  out.end = engine.now();
+  for (int rack = 0; rack < spec.datacenter.num_racks; ++rack) {
+    const cloud::CircuitBreaker& breaker =
+        engine.datacenter().rack_breaker(rack);
+    mix(hexfloat(breaker.thermal_state()));
+    mix(breaker.tripped() ? "tripped" : "closed");
+  }
   const ScenarioResult result = engine.result();
-  out.steps = result.steps;
-  out.sim_seconds = result.sim_seconds;
-  out.peak_total_w = result.peak_total_w;
-  out.peak_rack_w = result.peak_rack_w;
-  out.sim_digest =
-      obs::Registry::global().snapshot().digest(obs::Scope::kSim);
-  return out;
+  mix(std::to_string(engine.now()));
+  mix(std::to_string(result.steps));
+  mix(hexfloat(result.sim_seconds));
+  mix(hexfloat(result.peak_total_w));
+  mix(hexfloat(result.peak_rack_w));
+  mix(std::to_string(
+      obs::Registry::global().snapshot().digest(obs::Scope::kSim)));
+  return hash;
 }
 
-TEST(SimEngineTest, VariableLengthStridesAreBitwiseEqualToFixedSteps) {
-  auto& coalesced_steps = obs::Registry::global().counter(
-      "sim_engine_coalesced_steps_total",
-      "engine steps absorbed into variable-length idle strides",
-      obs::Scope::kRuntime);
-  const StrideOutcome fixed = run_strided(true, 1);
-  EXPECT_EQ(coalesced_steps.value(), 0u);  // hooks disable coalescing
-  const StrideOutcome strided = run_strided(false, 1);
-  // The stride path must actually engage, or this test pins nothing.
-  EXPECT_GT(coalesced_steps.value(), 0u);
-  EXPECT_EQ(strided, fixed);
-  EXPECT_EQ(run_strided(false, 2), fixed);
-  EXPECT_EQ(run_strided(false, 4), fixed);
-  EXPECT_EQ(run_strided(false, 8), fixed);
+// Recorded on fixed 1 s steps while the engine could still stride across
+// all-parked stretches (a hook forced the per-step path), identical at 1,
+// 2, 4 and 8 lanes and equal at each to the strided run, which absorbed
+// 1323 of the 1800 steps.
+constexpr std::uint64_t kIdleCappedFacilityDigest = 0x376378f492425848ull;
+
+TEST(SimEngineTest, IdleCappedFacilityMatchesRecording) {
+  for (const int lanes : {1, 2, 4, 8}) {
+    EXPECT_EQ(idle_capped_digest(lanes), kIdleCappedFacilityDigest)
+        << "lanes=" << lanes;
+  }
 }
 
 // Golden pin of the Fig 3 headline: the refactor onto fig3_fleet must not

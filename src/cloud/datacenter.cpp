@@ -61,7 +61,7 @@ bool resolve_sparse(int configured) {
 
 // Histogram quantization for dc_server_power_mw. Power is non-negative in
 // every supported configuration, but casting a negative double to u64 is
-// undefined behavior — clamp instead of trusting the physics plane.
+// undefined behavior — clamp instead of trusting the physics.
 std::uint64_t power_mw_of(double power_w) noexcept {
   return power_w > 0.0 ? static_cast<std::uint64_t>(power_w * 1000.0)
                        : std::uint64_t{0};
@@ -106,21 +106,6 @@ Datacenter::Datacenter(DatacenterConfig config)
   for (std::size_t index = 0; index < servers_.size(); ++index) {
     servers_[index]->host().set_event_source(
         static_cast<std::uint32_t>(index));
-  }
-  if (config_.profile.hardware.num_cores > 0 &&
-      config_.profile.hardware.num_packages > 0) {
-    // One SoA plane for the whole facility; every server's hardware state
-    // migrates onto its lane and the Hosts become views (bitwise-identical
-    // results, see hw/batched_physics.h).
-    const hw::BatchedGeometry geometry{
-        config_.profile.hardware.num_cores,
-        config_.profile.hardware.num_packages,
-        static_cast<int>(config_.profile.hardware.cpuidle_states.size())};
-    physics_ = std::make_unique<hw::BatchedPhysics>(
-        geometry, static_cast<std::size_t>(total));
-    for (std::size_t lane = 0; lane < servers_.size(); ++lane) {
-      servers_[lane]->bind_physics(*physics_, lane);
-    }
   }
   // Coast semantics are on in BOTH modes: the never-park schedule's
   // Server::step coast path and the parked schedule's deferred catch-up

@@ -34,7 +34,6 @@
 #include "cloud/breaker.h"
 #include "cloud/profiles.h"
 #include "cloud/server.h"
-#include "hw/batched_physics.h"
 #include "util/event_core.h"
 #include "util/rng.h"
 #include "util/sim_time.h"
@@ -158,9 +157,6 @@ class Datacenter {
   SimTime now_ = 0;
   ThreadPool pool_;
   bool sparse_ = true;
-  /// Facility SoA physics plane (batched mode). Declared before servers_ so
-  /// the bound lane slices outlive every Host.
-  std::unique_ptr<hw::BatchedPhysics> physics_;
   std::vector<std::unique_ptr<Server>> servers_;
   std::vector<CircuitBreaker> breakers_;
   std::vector<double> rack_energy_since_cap_j_;  ///< for the capper's average

@@ -8,6 +8,7 @@
 #include "fs/render.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
+#include "util/rng.h"
 #include "util/strings.h"
 
 namespace cleaks::fs {
@@ -50,24 +51,6 @@ struct FsMetrics {
     return metrics;
   }
 };
-
-// FNV-1a accumulators for the viewer fingerprint.
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
-void mix_u64(std::uint64_t& h, std::uint64_t value) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (value >> (i * 8)) & 0xff;
-    h *= kFnvPrime;
-  }
-}
-
-void mix_bytes(std::uint64_t& h, std::string_view bytes) {
-  for (unsigned char c : bytes) {
-    h ^= c;
-    h *= kFnvPrime;
-  }
-}
 
 }  // namespace
 
@@ -196,7 +179,7 @@ StatusCode PseudoFs::read_into(std::string_view path, const ViewContext& ctx,
   // Injected faults fire only for container-context reads of *existing*
   // paths (existence is checked first so kNotFound/kAbsent classification
   // never depends on the fault schedule). The injector's verdict is a pure
-  // function of (path, sim time): safe under concurrent scan workers.
+  // function of (path, sim time): safe under concurrent readers.
   const auto injected_fault = [&]() -> StatusCode {
     if (fault_injector_ == nullptr || !ctx.is_container()) {
       return StatusCode::kOk;
@@ -376,31 +359,31 @@ void PseudoFs::drop_viewer_entries(std::uint64_t viewer_pid_ns) const {
 }
 
 std::uint64_t PseudoFs::viewer_state_fingerprint(const kernel::Task& viewer) {
-  std::uint64_t h = kFnvOffset;
+  std::uint64_t h = kDigestSeed;
   const kernel::NamespaceSet& ns = viewer.ns;
-  mix_u64(h, ns.pid != nullptr ? ns.pid->id : 0);
-  mix_u64(h, ns.uts != nullptr ? ns.uts->id : 0);
-  mix_u64(h, ns.net != nullptr ? ns.net->id : 0);
-  mix_u64(h, ns.ipc != nullptr ? ns.ipc->id : 0);
-  mix_u64(h, ns.mnt != nullptr ? ns.mnt->id : 0);
-  mix_u64(h, ns.user != nullptr ? ns.user->id : 0);
-  mix_u64(h, ns.cgroup != nullptr ? ns.cgroup->id : 0);
-  mix_u64(h, static_cast<std::uint64_t>(viewer.host_pid));
-  mix_u64(h, static_cast<std::uint64_t>(viewer.start_time));
+  fnv1a64_mix(h, ns.pid != nullptr ? ns.pid->id : 0);
+  fnv1a64_mix(h, ns.uts != nullptr ? ns.uts->id : 0);
+  fnv1a64_mix(h, ns.net != nullptr ? ns.net->id : 0);
+  fnv1a64_mix(h, ns.ipc != nullptr ? ns.ipc->id : 0);
+  fnv1a64_mix(h, ns.mnt != nullptr ? ns.mnt->id : 0);
+  fnv1a64_mix(h, ns.user != nullptr ? ns.user->id : 0);
+  fnv1a64_mix(h, ns.cgroup != nullptr ? ns.cgroup->id : 0);
+  fnv1a64_mix(h, static_cast<std::uint64_t>(viewer.host_pid));
+  fnv1a64_mix(h, static_cast<std::uint64_t>(viewer.start_time));
   if (viewer.cgroup != nullptr) {
     const kernel::Cgroup& cg = *viewer.cgroup;
-    mix_bytes(h, cg.path());
-    mix_u64(h, cg.memory.limit_bytes);
-    mix_u64(h, cg.memory.usage_bytes);
-    mix_u64(h, std::bit_cast<std::uint64_t>(cg.cpu_quota));
-    mix_u64(h, cg.cpuset.cpus.size());
+    fnv1a64_mix(h, cg.path());
+    fnv1a64_mix(h, cg.memory.limit_bytes);
+    fnv1a64_mix(h, cg.memory.usage_bytes);
+    fnv1a64_mix(h, std::bit_cast<std::uint64_t>(cg.cpu_quota));
+    fnv1a64_mix(h, cg.cpuset.cpus.size());
     for (int cpu : cg.cpuset.cpus) {
-      mix_u64(h, static_cast<std::uint64_t>(cpu));
+      fnv1a64_mix(h, static_cast<std::uint64_t>(cpu));
     }
-    mix_u64(h, cg.net_prio.ifpriomap.size());
+    fnv1a64_mix(h, cg.net_prio.ifpriomap.size());
     for (const auto& [device, priority] : cg.net_prio.ifpriomap) {
-      mix_bytes(h, device);
-      mix_u64(h, static_cast<std::uint64_t>(priority));
+      fnv1a64_mix(h, device);
+      fnv1a64_mix(h, static_cast<std::uint64_t>(priority));
     }
   }
   return h;

@@ -10,8 +10,8 @@
 // Performance notes (the scanner renders hundreds of paths per pass):
 //  * the registry is a sorted flat vector looked up by std::string_view
 //    (no per-lookup key allocation, cache-friendly binary search);
-//  * generators append into a caller-provided buffer (read_into), so a
-//    scanning worker reuses one buffer for its whole path range;
+//  * generators append into a caller-provided buffer (read_into), so the
+//    scanner reuses one buffer for its whole pass;
 //  * host-context renders are memoized in a per-file cache tagged with the
 //    host's state generation — the cache invalidates itself whenever the
 //    host ticks forward or its task table changes;
@@ -85,7 +85,7 @@ class PseudoFs {
 
   /// Allocation-free read fast path: renders `path` into `out` (replacing
   /// its contents) and returns the status. Callers on scanning hot loops
-  /// keep one buffer per worker and pass it to every read.
+  /// keep one buffer and pass it to every read.
   StatusCode read_into(std::string_view path, const ViewContext& ctx,
                        std::string& out) const;
 

@@ -3,12 +3,12 @@
 // and context always produce the same bytes (the differential analyzer
 // depends on this, just as real procfs reads are deterministic snapshots),
 // and they never mutate host state — which is what makes concurrent reads
-// from the scanner's worker threads safe.
+// of a quiescent host safe.
 //
 // Generators *append* to a caller-provided buffer instead of returning a
 // fresh string: the cross-validation scanner reads hundreds of paths per
-// pass and reuses one buffer per worker, so the render fast path performs
-// no per-line or per-file temporary allocations.
+// pass and reuses one buffer for all of them, so the render fast path
+// performs no per-line or per-file temporary allocations.
 #pragma once
 
 #include <string>

@@ -13,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "hw/batched_physics.h"
 #include "hw/cpuidle.h"
 #include "hw/energy_model.h"
 #include "hw/rapl.h"
@@ -56,8 +55,7 @@ class Host {
   /// (a `duration` below one tick runs a single partial tick). Durations
   /// are NOT rounded up — now() always lands on now() + duration, and a
   /// partial tick integrates physics over its true dt. Pinned by the
-  /// AdvanceContract tests in tests/kernel_test.cpp; the batched path must
-  /// honour the same splitting.
+  /// AdvanceContract tests in tests/kernel_test.cpp.
   void advance(SimDuration duration);
 
   /// Pre-seed accumulators (uptime, jiffies, interrupts, RAPL counters,
@@ -230,21 +228,6 @@ class Host {
     return rng_base_.fork(salt);
   }
 
-  // --- batched physics (SoA plane) ---
-  /// Migrate this host's hardware state (RAPL accumulators, core
-  /// temperatures, cpuidle counters, root-cgroup cpuacct row) onto lane
-  /// `lane` of `plane`. Pure storage migration: the tick arithmetic
-  /// (closed-form context-switch accounting, reused package scratch,
-  /// per-dt factor cache) is unconditional since the legacy scalar branches
-  /// were deleted, and binding changes *where* state lives, never a single
-  /// bit of output (tests/batched_physics_test.cpp pins recorded goldens).
-  /// The plane's geometry must match this host's HardwareSpec; the plane
-  /// must outlive the host's last use. All per-host accessors keep working
-  /// — they are views into the plane.
-  void bind_physics(hw::BatchedPhysics& plane, std::size_t lane);
-  /// Whether this host's hardware state lives on a BatchedPhysics lane.
-  [[nodiscard]] bool batched() const noexcept { return batched_; }
-
  private:
   /// Per-dt factors that are pure functions of the tick length (thermal RC
   /// decay, loadavg exponential-decay factors), computed once per distinct
@@ -308,8 +291,7 @@ class Host {
   hw::CpuIdleAccounting cpuidle_;
   std::vector<double> core_power_w_;  ///< scratch per tick
 
-  bool batched_ = false;  ///< hardware state bound to a BatchedPhysics lane
-  TickFactors factors_;   ///< per-dt factor cache
+  TickFactors factors_;  ///< per-dt factor cache
   std::vector<double> pkg_core_j_;  ///< per-tick package scratch
   std::vector<double> pkg_dram_j_;
   std::uint32_t event_source_ = 0;  ///< see set_event_source()

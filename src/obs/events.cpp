@@ -5,18 +5,10 @@
 
 #include "obs/metrics.h"
 #include "util/env.h"
+#include "util/rng.h"
 
 namespace cleaks::obs {
 namespace {
-
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
-void fnv_u64(std::uint64_t& hash, std::uint64_t value) {
-  for (int byte = 0; byte < 8; ++byte) {
-    hash ^= (value >> (8 * byte)) & 0xff;
-    hash *= kFnvPrime;
-  }
-}
 
 // Drop accounting is part of the stream contract ("counted, never
 // silent"). Scope::kSim: under the supported drain cadence the count is a
@@ -124,11 +116,11 @@ std::uint64_t EventBus::digest(const std::vector<Event>& events,
                                std::uint64_t seed) {
   std::uint64_t hash = seed;
   for (const auto& event : events) {
-    fnv_u64(hash, event.time);
-    fnv_u64(hash, static_cast<std::uint64_t>(event.kind));
-    fnv_u64(hash, event.source);
-    fnv_u64(hash, event.a);
-    fnv_u64(hash, event.b);
+    fnv1a64_mix(hash, event.time);
+    fnv1a64_mix(hash, static_cast<std::uint64_t>(event.kind));
+    fnv1a64_mix(hash, event.source);
+    fnv1a64_mix(hash, event.a);
+    fnv1a64_mix(hash, event.b);
   }
   return hash;
 }

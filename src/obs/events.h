@@ -33,6 +33,7 @@
 #include <string_view>
 #include <vector>
 
+#include "util/rng.h"
 #include "util/sim_time.h"
 #include "util/thread_pool.h"
 
@@ -82,8 +83,6 @@ struct Event {
 class EventBus {
  public:
   static constexpr std::size_t kDefaultCapacity = 1 << 16;  ///< per lane
-  /// Seed for digest chaining across drained batches.
-  static constexpr std::uint64_t kDigestSeed = 1469598103934665603ULL;
 
   EventBus() = default;
   EventBus(const EventBus&) = delete;

@@ -1,5 +1,6 @@
 #include "obs/export.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstdarg>
 #include <cstdio>
@@ -162,7 +163,11 @@ JsonWriter& JsonWriter::field(std::string_view name, std::string_view value) {
 
 JsonWriter& JsonWriter::field(std::string_view name, double value) {
   key(name);
-  appendf(out_, "%.9g", value);
+  // The shortest spelling that parses back to the same double, so a
+  // document such as a fault plan round-trips bit for bit.
+  char buffer[32];
+  const auto result = std::to_chars(buffer, buffer + sizeof buffer, value);
+  out_.append(buffer, result.ptr);
   return *this;
 }
 

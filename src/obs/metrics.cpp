@@ -1,26 +1,11 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
+#include <bit>
+
+#include "util/rng.h"
 
 namespace cleaks::obs {
-namespace {
-
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
-void fnv_bytes(std::uint64_t& hash, const void* data, std::size_t size) {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < size; ++i) {
-    hash ^= bytes[i];
-    hash *= kFnvPrime;
-  }
-}
-
-void fnv_u64(std::uint64_t& hash, std::uint64_t value) {
-  fnv_bytes(hash, &value, sizeof value);
-}
-
-}  // namespace
 
 Histogram::Histogram(std::string name, std::string help, Scope scope,
                      std::vector<std::uint64_t> bounds)
@@ -102,23 +87,23 @@ void Histogram::reset() noexcept {
 }
 
 std::uint64_t Snapshot::digest(Scope scope) const {
-  std::uint64_t hash = kFnvOffset;
+  std::uint64_t hash = kDigestSeed;
   for (const auto& metric : metrics) {
     if (metric.scope != scope) continue;
-    fnv_bytes(hash, metric.name.data(), metric.name.size());
-    fnv_u64(hash, static_cast<std::uint64_t>(metric.kind));
+    fnv1a64_mix(hash, metric.name);
+    fnv1a64_mix(hash, static_cast<std::uint64_t>(metric.kind));
     switch (metric.kind) {
       case MetricValue::Kind::kCounter:
-        fnv_u64(hash, metric.counter);
+        fnv1a64_mix(hash, metric.counter);
         break;
       case MetricValue::Kind::kGauge:
-        fnv_bytes(hash, &metric.gauge, sizeof metric.gauge);
+        fnv1a64_mix(hash, std::bit_cast<std::uint64_t>(metric.gauge));
         break;
       case MetricValue::Kind::kHistogram:
-        for (auto bound : metric.hist_bounds) fnv_u64(hash, bound);
-        for (auto count : metric.hist_counts) fnv_u64(hash, count);
-        fnv_u64(hash, metric.hist_overflow);
-        fnv_u64(hash, metric.hist_sum);
+        for (auto bound : metric.hist_bounds) fnv1a64_mix(hash, bound);
+        for (auto count : metric.hist_counts) fnv1a64_mix(hash, count);
+        fnv1a64_mix(hash, metric.hist_overflow);
+        fnv1a64_mix(hash, metric.hist_sum);
         break;
     }
   }

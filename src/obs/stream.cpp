@@ -7,18 +7,10 @@
 
 #include "obs/export.h"
 #include "util/env.h"
+#include "util/rng.h"
 
 namespace cleaks::obs {
 namespace {
-
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
-void fnv_u64(std::uint64_t& hash, std::uint64_t value) {
-  for (int byte = 0; byte < 8; ++byte) {
-    hash ^= (value >> (8 * byte)) & 0xff;
-    hash *= kFnvPrime;
-  }
-}
 
 double to_trace_us(SimTime t) { return static_cast<double>(t) / 1000.0; }
 
@@ -75,15 +67,15 @@ void WindowAggregator::feed(const std::vector<Event>& merged) {
 void WindowAggregator::flush() { close_current(); }
 
 std::uint64_t WindowAggregator::digest() const {
-  std::uint64_t hash = EventBus::kDigestSeed;
+  std::uint64_t hash = kDigestSeed;
   for (const WindowSummary& window : windows_) {
-    fnv_u64(hash, window.start);
-    fnv_u64(hash, window.end);
-    fnv_u64(hash, window.total);
-    for (const std::uint64_t count : window.by_kind) fnv_u64(hash, count);
+    fnv1a64_mix(hash, window.start);
+    fnv1a64_mix(hash, window.end);
+    fnv1a64_mix(hash, window.total);
+    for (const std::uint64_t count : window.by_kind) fnv1a64_mix(hash, count);
     for (const auto& [source, count] : window.by_source) {
-      fnv_u64(hash, source);
-      fnv_u64(hash, count);
+      fnv1a64_mix(hash, source);
+      fnv1a64_mix(hash, count);
     }
   }
   return hash;

@@ -104,13 +104,4 @@ std::string Rng::hex_string(std::size_t digits) {
   return out;
 }
 
-std::uint64_t fnv1a64(std::string_view data) noexcept {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  for (unsigned char c : data) {
-    hash ^= c;
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
-}
-
 }  // namespace cleaks

@@ -58,7 +58,37 @@ class Rng {
   std::uint64_t state_[4];
 };
 
+/// 64-bit FNV-1a offset basis (the hash of no bytes) and prime.
+inline constexpr std::uint64_t kFnv1a64Offset = 0xcbf29ce484222325ULL;
+inline constexpr std::uint64_t kFnv1a64Prime = 0x100000001b3ULL;
+
+/// Seed of the metric, event-stream and viewer-fingerprint digests built
+/// with fnv1a64_mix. It is the decimal offset basis with its last digit
+/// dropped, not kFnv1a64Offset; every recorded digest golden was hashed
+/// from it, so it stays.
+inline constexpr std::uint64_t kDigestSeed = 1469598103934665603ULL;
+
+/// Fold `bytes` into the running FNV-1a hash `h`.
+inline void fnv1a64_mix(std::uint64_t& h, std::string_view bytes) noexcept {
+  for (const unsigned char c : bytes) {
+    h ^= c;
+    h *= kFnv1a64Prime;
+  }
+}
+
+/// Fold the 8 little-endian bytes of `value` into the running hash `h`.
+inline void fnv1a64_mix(std::uint64_t& h, std::uint64_t value) noexcept {
+  for (int byte = 0; byte < 8; ++byte) {
+    h ^= (value >> (8 * byte)) & 0xff;
+    h *= kFnv1a64Prime;
+  }
+}
+
 /// 64-bit FNV-1a, used to key forked streams by name.
-std::uint64_t fnv1a64(std::string_view data) noexcept;
+inline std::uint64_t fnv1a64(std::string_view data) noexcept {
+  std::uint64_t h = kFnv1a64Offset;
+  fnv1a64_mix(h, data);
+  return h;
+}
 
 }  // namespace cleaks

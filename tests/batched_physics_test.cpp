@@ -1,34 +1,25 @@
-// Equivalence contract of the batched SoA physics plane. The legacy
-// object-at-a-time reference path is gone (the plane is the only
-// implementation), so the contract is pinned three ways instead of by a
-// live A/B run: (1) a recorded golden digest of a 200-step facility —
-// captured while the dual-path build still existed, when both modes
-// produced this exact value; (2) bound-vs-unbound invariance — a Host
-// that never binds onto a plane uses its own storage but the identical
-// arithmetic, so it must agree bitwise; (3) the scheduler's closed-form
-// context-switch shortcut driven directly against the per-quantum hook
-// loop. Plus the plane's mechanics: bind-time state migration, geometry
-// validation, and the bound PerCpuNs growth rules.
+// Step-physics equivalence contract. The object-at-a-time reference path
+// that the tick shortcuts replaced is gone, so the contract is pinned two
+// ways instead of by a live A/B run: (1) a recorded golden digest of a
+// 200-step facility at 1, 2, 4 and 8 lanes, captured while both paths
+// still existed and produced this exact value; (2) the scheduler's
+// closed-form context-switch shortcut driven directly against the
+// per-quantum hook loop.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <memory>
-#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "cloud/datacenter.h"
 #include "cloud/profiles.h"
-#include "cloud/server.h"
-#include "hw/batched_physics.h"
 #include "kernel/cgroup.h"
 #include "kernel/perf_event.h"
 #include "kernel/scheduler.h"
 #include "kernel/task.h"
-#include "leakage/detector.h"
 #include "obs/metrics.h"
-#include "scan_digest.h"
 #include "util/rng.h"
 
 namespace cleaks {
@@ -43,12 +34,6 @@ cloud::DatacenterConfig facility(int threads) {
   config.seed = 7;
   config.num_threads = threads;
   return config;
-}
-
-hw::BatchedGeometry geometry_of(const cloud::CloudServiceProfile& profile) {
-  return hw::BatchedGeometry{
-      profile.hardware.num_cores, profile.hardware.num_packages,
-      static_cast<int>(profile.hardware.cpuidle_states.size())};
 }
 
 struct FacilityTrace {
@@ -101,26 +86,6 @@ TEST(BatchedEquivalence, FacilityBitwiseIdenticalAcrossLanesAndGolden) {
   }
   EXPECT_EQ(reference.sim_digest, kFacilityGoldenDigest)
       << "actual digest 0x" << std::hex << reference.sim_digest;
-}
-
-TEST(BoundPhysics, ScanFindingsIdenticalBoundVsUnbound) {
-  // Table 1: the cross-validation scan must classify every channel path
-  // identically whether the probed host's hardware state lives on a plane
-  // lane or in its own vectors — and both must match the recorded findings.
-  auto scan = [](bool bound) {
-    // Plane declared before the server so bound slices outlive the Host.
-    std::unique_ptr<hw::BatchedPhysics> plane;
-    const auto profile = cloud::local_testbed();
-    if (bound) {
-      plane = std::make_unique<hw::BatchedPhysics>(geometry_of(profile), 1);
-    }
-    cloud::Server server("scan-host", profile, 77, 40 * kDay);
-    if (plane) server.bind_physics(*plane, 0);
-    leakage::CrossValidator validator(server);
-    return findings_digest(validator.scan());
-  };
-  EXPECT_EQ(scan(/*bound=*/false), kTable1FindingsDigest) << "unbound";
-  EXPECT_EQ(scan(/*bound=*/true), kTable1FindingsDigest) << "bound";
 }
 
 // ---------- scheduler closed-form fast path ----------
@@ -199,98 +164,6 @@ TEST(BatchedScheduler, MonitoredCgroupFallsBackToHookLoop) {
   const auto closed = run_sched(true, true);
   EXPECT_EQ(closed, loop);
   EXPECT_GT(loop.pmu_state, 0u);  // the switch hook really ran
-}
-
-// ---------- bind-time migration ----------
-
-TEST(BatchedPhysics, BindAfterWarmupMigratesStateBitwise) {
-  // Three identically-seeded servers: never bound, bound from the start,
-  // and bound only after 5 s of unbound stepping. All three must produce
-  // the same power trace and final RAPL counters.
-  const auto profile = cloud::local_testbed();
-  std::unique_ptr<hw::BatchedPhysics> plane_b =
-      std::make_unique<hw::BatchedPhysics>(geometry_of(profile), 1);
-  std::unique_ptr<hw::BatchedPhysics> plane_c =
-      std::make_unique<hw::BatchedPhysics>(geometry_of(profile), 1);
-  cloud::Server a("host", profile, 23);
-  cloud::Server b("host", profile, 23);
-  cloud::Server c("host", profile, 23);
-  b.bind_physics(*plane_b, 0);
-  EXPECT_TRUE(b.host().batched());
-  EXPECT_FALSE(a.host().batched());
-  for (int tick = 0; tick < 10; ++tick) {
-    if (tick == 5) c.bind_physics(*plane_c, 0);  // mid-run migration
-    a.step(kSecond);
-    b.step(kSecond);
-    c.step(kSecond);
-    ASSERT_EQ(a.power_w(), b.power_w()) << "tick " << tick;
-    ASSERT_EQ(a.power_w(), c.power_w()) << "tick " << tick;
-  }
-  const auto& pkgs_a = a.host().rapl();
-  const auto& pkgs_b = b.host().rapl();
-  const auto& pkgs_c = c.host().rapl();
-  ASSERT_EQ(pkgs_a.size(), pkgs_b.size());
-  for (std::size_t p = 0; p < pkgs_a.size(); ++p) {
-    EXPECT_EQ(pkgs_a[p].package().energy_uj(), pkgs_b[p].package().energy_uj());
-    EXPECT_EQ(pkgs_a[p].package().energy_uj(), pkgs_c[p].package().energy_uj());
-    EXPECT_EQ(pkgs_a[p].core().lifetime_energy_j(), pkgs_b[p].core().lifetime_energy_j());
-    EXPECT_EQ(pkgs_a[p].dram().lifetime_energy_j(), pkgs_c[p].dram().lifetime_energy_j());
-  }
-}
-
-TEST(BatchedPhysics, GeometryIsValidated) {
-  EXPECT_THROW(hw::BatchedPhysics(hw::BatchedGeometry{0, 1, 2}, 1),
-               std::invalid_argument);
-  EXPECT_THROW(hw::BatchedPhysics(hw::BatchedGeometry{4, 0, 2}, 1),
-               std::invalid_argument);
-
-  const auto profile = cloud::local_testbed();
-  hw::BatchedPhysics plane(geometry_of(profile), 2);
-  cloud::Server server("host", profile, 1);
-  EXPECT_THROW(server.bind_physics(plane, 2), std::invalid_argument);
-
-  auto wrong = geometry_of(profile);
-  wrong.num_cores += 1;
-  hw::BatchedPhysics mismatched(wrong, 1);
-  EXPECT_THROW(server.bind_physics(mismatched, 0), std::invalid_argument);
-}
-
-// ---------- bound per-cpu storage ----------
-
-TEST(PerCpuNs, BindMigratesValuesAndCapsGrowth) {
-  kernel::PerCpuNs cpus;
-  cpus.ensure_cpus(3);
-  cpus[0] = 100;
-  cpus[1] = 200;
-  cpus[2] = 300;
-
-  std::uint64_t slab[6] = {9, 9, 9, 9, 9, 9};
-  cpus.bind(slab, 6);
-  EXPECT_EQ(cpus.size(), 6u);      // bound storage exposes full capacity
-  EXPECT_EQ(cpus[0], 100u);        // values migrated
-  EXPECT_EQ(cpus[2], 300u);
-  EXPECT_EQ(cpus[3], 0u);          // tail zero-filled, not leftover bytes
-  cpus[4] = 42;
-  EXPECT_EQ(slab[4], 42u);         // writes land in the external slab
-
-  cpus.ensure_cpus(6);                                  // within capacity: ok
-  EXPECT_THROW(cpus.ensure_cpus(7), std::length_error); // beyond: refuses
-  kernel::PerCpuNs big;
-  big.ensure_cpus(8);
-  std::uint64_t small[4];
-  EXPECT_THROW(big.bind(small, 4), std::length_error);  // would truncate
-}
-
-TEST(PerCpuNs, CopyDetachesFromBoundStorage) {
-  kernel::PerCpuNs cpus;
-  std::uint64_t slab[2] = {0, 0};
-  cpus.bind(slab, 2);
-  cpus[0] = 7;
-  kernel::PerCpuNs copy = cpus;  // snapshot, not an alias
-  copy[0] = 99;
-  EXPECT_EQ(cpus[0], 7u);
-  EXPECT_EQ(slab[0], 7u);
-  EXPECT_EQ(copy[0], 99u);
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 // JSON round-trip, the pure-draw determinism contract, graceful
 // degradation in the scanner / monitor / trainer, and the cross-lane
 // digest of a fully faulted scan.
+#include <bit>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -101,6 +103,45 @@ TEST(FaultPlanTest, JsonRoundTripsThroughTheWriter) {
   const auto parsed = parse_plan_json(json.str());
   ASSERT_TRUE(parsed.is_ok()) << parsed.status().message();
   expect_plans_equal(parsed.value(), plan);
+}
+
+TEST(FaultPlanTest, JsonDoublesRoundTripBitwise) {
+  // Rates and scales must come back with the very bits written: a
+  // nine-digit spelling would turn 0.1234567891234 into 0.123456789.
+  FaultPlan plan = sample_plan();
+  plan.rules[0].rate = 0.1234567891234;
+  plan.rules[1].scale = 1.0 / 3;
+  // ~10k seeded finite doubles from raw bit patterns: every exponent,
+  // subnormals and negative zero included.
+  Rng rng(1414);
+  auto finite_double = [&rng] {
+    while (true) {
+      const double value = std::bit_cast<double>(rng());
+      if (std::isfinite(value)) return value;
+    }
+  };
+  for (int i = 0; i < 5000; ++i) {
+    FaultRule rule;
+    rule.rate = finite_double();
+    rule.scale = finite_double();
+    plan.rules.push_back(rule);
+  }
+  obs::JsonWriter json;
+  append_plan_json(plan, json);
+  json.end_object();
+  const auto parsed = parse_plan_json(json.str());
+  ASSERT_TRUE(parsed.is_ok()) << parsed.status().message();
+  ASSERT_EQ(parsed.value().rules.size(), plan.rules.size());
+  for (std::size_t i = 0; i < plan.rules.size(); ++i) {
+    const FaultRule& got = parsed.value().rules[i];
+    const FaultRule& want = plan.rules[i];
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got.rate),
+              std::bit_cast<std::uint64_t>(want.rate))
+        << "rule " << i << " rate " << want.rate;
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got.scale),
+              std::bit_cast<std::uint64_t>(want.scale))
+        << "rule " << i << " scale " << want.scale;
+  }
 }
 
 TEST(FaultPlanTest, ParsesBareFormAndDefaults) {

@@ -31,9 +31,8 @@ inline std::uint64_t findings_digest(
 // over a ThreadPool), identical at 1, 4 and 8 lanes: the 184 Table I
 // findings of the local testbed at seed 77 after 40 days of uptime. Every
 // scan pinned against it produced exactly these findings there — cold,
-// warm on an unchanged world, warm after a 1 s step, on plane-bound and
-// own-storage physics, and under the recoverable fault plans of
-// faults_test.
+// warm on an unchanged world, warm after a 1 s step, and under the
+// recoverable fault plans of faults_test.
 inline constexpr std::uint64_t kTable1FindingsDigest = 0x485597e14defb318ull;
 
 }  // namespace cleaks

@@ -32,6 +32,9 @@
 // tenant has usage movement) out of the flatness denominator. The digest
 // runs do the opposite — busy containers, eager metering, mid-run epoch
 // settles — to pin the full math across lane counts.
+// Each point also reports the container runtime's share of a launch and
+// of a terminate (runtime_create_cycles / runtime_destroy_cycles: total
+// minus control), so create/destroy cost is on record; neither is gated.
 // CLEAKS_BENCH_QUICK=1 shrinks the sweep for sanitizer CI and gates the
 // two timing assertions off (digest equality always applies).
 //
@@ -129,6 +132,13 @@ struct PointRun {
   double step_wall_seconds = 0.0; ///< full step incl. physics, for context
   double legacy_rebuild = 0.0;    ///< pre-refactor O(N) occupancy rebuild
   int instances = 0;
+  /// The container runtime's share (total minus control): reported only.
+  [[nodiscard]] double runtime_create() const {
+    return launch_cycles - launch_control;
+  }
+  [[nodiscard]] double runtime_destroy() const {
+    return terminate_cycles - terminate_control;
+  }
 };
 
 /// What the pre-refactor provider paid *per launch*: rebuild a
@@ -289,12 +299,14 @@ int main() {
         run.control_per_step / (point.servers + point.tenants);
     std::printf(
         "  %7d instances (%4d servers x %3d, %3d tenants): launch %7.0f "
-        "cyc (control %5.0f, legacy rebuild %11.0f), terminate %7.0f cyc "
-        "(control %5.0f), step control %9.0f cyc (%6.1f cyc/(server+tenant), "
-        "%5.2f cyc/inst), step %6.2f ms\n",
+        "cyc (control %5.0f, runtime create %7.0f, legacy rebuild %11.0f), "
+        "terminate %7.0f cyc (control %5.0f, runtime destroy %7.0f), step "
+        "control %9.0f cyc (%6.1f cyc/(server+tenant), %5.2f cyc/inst), "
+        "step %6.2f ms\n",
         run.instances, point.servers, point.max_per_server, point.tenants,
-        run.launch_cycles, run.launch_control, run.legacy_rebuild,
-        run.terminate_cycles, run.terminate_control, run.control_per_step,
+        run.launch_cycles, run.launch_control, run.runtime_create(),
+        run.legacy_rebuild, run.terminate_cycles, run.terminate_control,
+        run.runtime_destroy(), run.control_per_step,
         control_norm, run.control_per_step / run.instances,
         run.step_wall_seconds * 1e3);
     json.begin_object()
@@ -308,6 +320,8 @@ int main() {
         .field("legacy_rebuild_cycles", run.legacy_rebuild)
         .field("terminate_cycles", run.terminate_cycles)
         .field("terminate_control_cycles", run.terminate_control)
+        .field("runtime_create_cycles", run.runtime_create())
+        .field("runtime_destroy_cycles", run.runtime_destroy())
         .field("step_control_cycles", run.control_per_step)
         .field("step_control_cycles_per_server_tenant", control_norm)
         .field("step_control_cycles_per_instance",

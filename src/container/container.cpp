@@ -60,23 +60,17 @@ ContainerRuntime::ContainerRuntime(kernel::Host& host, fs::PseudoFs& fs,
     : host_(&host),
       fs_(&fs),
       policy_(std::move(policy)),
+      core_load_(static_cast<std::size_t>(host.spec().num_cores), 0),
       id_rng_(host.fork_rng("container-ids")) {}
 
 std::vector<int> ContainerRuntime::allocate_cpuset(int count) const {
   const int total = host_->spec().num_cores;
   if (count <= 0 || count >= total) return {};  // empty = all cores
-  // Subscription count per core across live containers.
-  std::vector<int> load(static_cast<std::size_t>(total), 0);
-  for (const auto& existing : containers_) {
-    if (!existing->alive()) continue;
-    const auto& cpus = existing->cgroup()->cpuset.cpus;
-    if (cpus.empty()) continue;
-    for (int cpu : cpus) ++load[static_cast<std::size_t>(cpu)];
-  }
   std::vector<int> order(static_cast<std::size_t>(total));
   for (int c = 0; c < total; ++c) order[static_cast<std::size_t>(c)] = c;
   std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
-    return load[static_cast<std::size_t>(a)] < load[static_cast<std::size_t>(b)];
+    return core_load_[static_cast<std::size_t>(a)] <
+           core_load_[static_cast<std::size_t>(b)];
   });
   order.resize(static_cast<std::size_t>(count));
   std::sort(order.begin(), order.end());
@@ -94,6 +88,9 @@ std::shared_ptr<Container> ContainerRuntime::create(
   const std::string cgroup_path = "/docker/" + instance->id_;
   instance->cgroup_ = host_->cgroups().create(cgroup_path);
   instance->cgroup_->cpuset.cpus = allocate_cpuset(config.num_cpus);
+  for (int cpu : instance->cgroup_->cpuset.cpus) {
+    ++core_load_[static_cast<std::size_t>(cpu)];
+  }
   instance->cgroup_->memory.limit_bytes = config.memory_limit_bytes;
   instance->cgroup_->cpu_quota = config.cpu_quota;
   if (auto& bus = obs::EventBus::global(); bus.enabled()) {
@@ -149,18 +146,29 @@ bool ContainerRuntime::destroy(const std::string& id) {
   if (it == containers_.end()) return false;
   auto instance = *it;
   if (hook_) hook_(*instance, false);
+  for (int cpu : instance->cgroup_->cpuset.cpus) {
+    --core_load_[static_cast<std::size_t>(cpu)];
+  }
   // Kill every task, then remove the cgroup.
   while (!instance->tasks_.empty()) {
     instance->kill(instance->tasks_.back()->host_pid);
   }
   host_->cgroups().remove(instance->cgroup_->path());
+  // Erase exactly this container's veth. Live containers whose ids share
+  // the 7-hex prefix share the device name, and their devices sit in
+  // creation order, so skip one match per such container created earlier.
   auto& devices = host_->mutable_init_ns().net->devices;
   const std::string veth_name = "veth" + instance->id_.substr(0, 7);
-  devices.erase(std::remove_if(devices.begin(), devices.end(),
-                               [&](const kernel::NetDevice& device) {
-                                 return device.name == veth_name;
-                               }),
-                devices.end());
+  auto earlier = std::count_if(
+      containers_.begin(), it, [&](const auto& other) {
+        return other->id_.compare(0, 7, instance->id_, 0, 7) == 0;
+      });
+  for (auto device = devices.begin(); device != devices.end(); ++device) {
+    if (device->name == veth_name && earlier-- == 0) {
+      devices.erase(device);
+      break;
+    }
+  }
   // Release the destroyed viewer's cached renders. Hygiene, not
   // correctness: its PID-namespace id is incarnation-unique, so no future
   // viewer could ever match the stale slots anyway.

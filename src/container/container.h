@@ -120,13 +120,16 @@ class ContainerRuntime {
   void set_lifecycle_hook(LifecycleHook hook) { hook_ = std::move(hook); }
 
  private:
-  /// Pick `count` cores, least-subscribed first.
+  /// Pick `count` cores, least-subscribed first (ties to the lower core).
   [[nodiscard]] std::vector<int> allocate_cpuset(int count) const;
 
   kernel::Host* host_;
   fs::PseudoFs* fs_;
   fs::MaskingPolicy policy_;
   std::vector<std::shared_ptr<Container>> containers_;
+  /// Live containers whose cpuset names each core. create adds and destroy
+  /// subtracts; nothing else writes a container's cpuset.cpus.
+  std::vector<int> core_load_;
   LifecycleHook hook_;
   Rng id_rng_;
 };

@@ -304,6 +304,7 @@ StatusCode PseudoFs::read_viewer_cached(const FileEntry& entry,
     if (cache.viewers.size() < kMaxViewerSlots) {
       slot = &cache.viewers.emplace_back();
       slot->viewer_key = key;
+      index_viewer_slot(key, &cache);
     } else {
       // Deterministic eviction: PID-namespace ids are monotonic, so the
       // smallest resident key is the oldest incarnation. An incoming key
@@ -320,9 +321,11 @@ StatusCode PseudoFs::read_viewer_cached(const FileEntry& entry,
         return StatusCode::kOk;
       }
       metrics.viewer_invalidations.inc();
+      unindex_viewer_slot(oldest->viewer_key, &cache);
       *oldest = ViewerSlot{};
       oldest->viewer_key = key;
       slot = oldest;
+      index_viewer_slot(key, &cache);
     }
   } else if (slot->valid) {
     metrics.viewer_invalidations.inc();  // stale bytes being replaced
@@ -345,11 +348,38 @@ bool PseudoFs::cache_eligible(std::string_view path) const {
   return fault_injector_ == nullptr || !fault_injector_->covers(path);
 }
 
+void PseudoFs::index_viewer_slot(std::uint64_t key, RenderCache* cache) const {
+  std::lock_guard<std::mutex> lock(viewer_index_mu_);
+  viewer_index_[key].push_back(cache);
+}
+
+void PseudoFs::unindex_viewer_slot(std::uint64_t key,
+                                   RenderCache* cache) const {
+  std::lock_guard<std::mutex> lock(viewer_index_mu_);
+  auto it = viewer_index_.find(key);
+  if (it == viewer_index_.end()) return;
+  std::vector<RenderCache*>& caches = it->second;
+  auto pos = std::find(caches.begin(), caches.end(), cache);
+  if (pos == caches.end()) return;
+  *pos = caches.back();
+  caches.pop_back();
+  if (caches.empty()) viewer_index_.erase(it);
+}
+
 void PseudoFs::drop_viewer_entries(std::uint64_t viewer_pid_ns) const {
-  for (const FileEntry& entry : files_) {
-    RenderCache& cache = *entry.cache;
-    std::unique_lock<std::shared_mutex> lock(cache.mu);
-    auto& slots = cache.viewers;
+  // Take the key's caches out under the index mutex and release it before
+  // any cache lock: fills nest the index mutex inside a cache lock.
+  std::vector<RenderCache*> caches;
+  {
+    std::lock_guard<std::mutex> lock(viewer_index_mu_);
+    auto it = viewer_index_.find(viewer_pid_ns);
+    if (it == viewer_index_.end()) return;
+    caches = std::move(it->second);
+    viewer_index_.erase(it);
+  }
+  for (RenderCache* cache : caches) {
+    std::unique_lock<std::shared_mutex> lock(cache->mu);
+    auto& slots = cache->viewers;
     slots.erase(std::remove_if(slots.begin(), slots.end(),
                                [&](const ViewerSlot& slot) {
                                  return slot.viewer_key == viewer_pid_ns;

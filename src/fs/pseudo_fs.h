@@ -23,21 +23,26 @@
 //    bytes even when the runtime reuses the container id string. Paths
 //    covered by an active FaultPlan rule bypass this cache entirely —
 //    fault draws are keyed by sim-time window and must happen per read.
+//    An index from viewer key to the caches holding its slots lets a
+//    container destroy free them without walking every file.
 //
 // Concurrency: reads are const and generators are pure, so any number of
 // threads may read concurrently *while the host is quiescent* (nobody is
 // calling Host::advance/spawn_task/etc.). The render cache is internally
 // locked per file (shared lock on the hit path, exclusive only to fill);
-// everything else is read-only.
+// a fill that claims a viewer slot also takes the viewer index's mutex,
+// nested inside the file lock. Everything else is read-only.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <shared_mutex>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "fs/masking.h"
@@ -142,7 +147,9 @@ class PseudoFs {
   /// Drop the viewer-cache slots belonging to `viewer_pid_ns` (a viewer's
   /// PID-namespace id). Called by the runtime on container destroy — the
   /// monotonic ids make stale hits impossible anyway, so this is memory
-  /// hygiene, not correctness.
+  /// hygiene, not correctness. Costs O(slots the viewer holds): only the
+  /// caches indexed under the key are visited, and a viewer that never
+  /// read costs one hash miss.
   void drop_viewer_entries(std::uint64_t viewer_pid_ns) const;
 
   /// FNV-1a fingerprint over the viewer-visible mutable state that the
@@ -220,11 +227,23 @@ class PseudoFs {
   [[nodiscard]] std::optional<PidPath> resolve_pid_path(
       std::string_view path, const ViewContext& ctx) const;
 
+  /// Record that `key` now holds a slot in `cache` / no longer does.
+  /// Called with the cache's writer lock held, so the lock order is always
+  /// cache lock, then index mutex.
+  void index_viewer_slot(std::uint64_t key, RenderCache* cache) const;
+  void unindex_viewer_slot(std::uint64_t key, RenderCache* cache) const;
+
   const kernel::Host* host_;
   const RaplViewProvider* rapl_provider_ = nullptr;
   const faults::FaultInjector* fault_injector_ = nullptr;
   std::uint64_t render_epoch_ = 0;
   std::vector<FileEntry> files_;  ///< sorted by path
+  /// Viewer key -> the caches where that viewer holds a slot, exactly:
+  /// fills add, evictions and drops remove. Pointers, not file positions,
+  /// because register_file inserts shift files_.
+  mutable std::mutex viewer_index_mu_;
+  mutable std::unordered_map<std::uint64_t, std::vector<RenderCache*>>
+      viewer_index_;
 };
 
 }  // namespace cleaks::fs

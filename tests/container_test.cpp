@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "container/container.h"
+#include "util/rng.h"
 #include "util/strings.h"
 
 namespace cleaks::container {
@@ -136,6 +141,94 @@ TEST(Container, VethAppearsAndDisappearsOnHost) {
   EXPECT_TRUE(found);
   fixture.runtime.destroy(instance->id());
   EXPECT_EQ(fixture.host.init_ns().net->devices.size(), base_devices);
+}
+
+TEST(Container, DestroyErasesOnlyItsOwnVeth) {
+  // Two live containers whose ids share the 7-hex prefix share a veth
+  // name. Plant the twin's device: destroying the container must leave it.
+  Fixture fixture;
+  auto& devices = fixture.host.mutable_init_ns().net->devices;
+  auto instance = fixture.runtime.create({});
+  const std::string veth = "veth" + instance->id().substr(0, 7);
+  devices.push_back({veth, true});
+  const auto count_veth = [&] {
+    return std::count_if(devices.begin(), devices.end(),
+                         [&](const auto& device) { return device.name == veth; });
+  };
+  ASSERT_EQ(count_veth(), 2);
+  fixture.runtime.destroy(instance->id());
+  EXPECT_EQ(count_veth(), 1);
+}
+
+TEST(Container, DestroyKeepsTwinVethInCreationOrder) {
+  // Host seed 202's id stream repeats a 7-hex prefix: containers #301 and
+  // #1628 share a veth name. Keep them and #302 live, so init_net lists
+  // twin, other, twin. Destroying the newer twin must remove the last of
+  // the three, leaving the list as if it had never been created.
+  kernel::Host host("c-host", hw::testbed_i7_6700(), 202);
+  fs::PseudoFs filesystem(host);
+  ContainerRuntime runtime(host, filesystem);
+  const auto& devices = host.init_ns().net->devices;
+  const std::size_t base = devices.size();
+  std::shared_ptr<Container> older, other, newer;
+  for (int i = 0; i <= 1628; ++i) {
+    auto instance = runtime.create({});
+    if (i == 301) older = instance;
+    else if (i == 302) other = instance;
+    else if (i == 1628) newer = instance;
+    else runtime.destroy(instance->id());
+  }
+  ASSERT_EQ(newer->id().substr(0, 7), older->id().substr(0, 7));
+  ASSERT_NE(newer->id(), older->id());
+  ASSERT_EQ(devices.size(), base + 3);
+  runtime.destroy(newer->id());
+  ASSERT_EQ(devices.size(), base + 2);
+  EXPECT_EQ(devices[base].name, "veth" + older->id().substr(0, 7));
+  EXPECT_EQ(devices[base + 1].name, "veth" + other->id().substr(0, 7));
+}
+
+TEST(Container, CpusetCountsMatchRecountUnderChurn) {
+  Fixture fixture;
+  const int total = fixture.host.spec().num_cores;
+  // Oracle: the allocation as it was computed before the runtime kept
+  // per-core counts, by walking every live container's cpuset.
+  const auto recount_pick = [&](int count) {
+    if (count <= 0 || count >= total) return std::vector<int>{};
+    std::vector<int> load(static_cast<std::size_t>(total), 0);
+    for (const auto& existing : fixture.runtime.containers()) {
+      for (int cpu : existing->cpuset()) ++load[static_cast<std::size_t>(cpu)];
+    }
+    std::vector<int> order(static_cast<std::size_t>(total));
+    for (int c = 0; c < total; ++c) order[static_cast<std::size_t>(c)] = c;
+    std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
+      return load[static_cast<std::size_t>(a)] <
+             load[static_cast<std::size_t>(b)];
+    });
+    order.resize(static_cast<std::size_t>(count));
+    std::sort(order.begin(), order.end());
+    return order;
+  };
+
+  Rng rng(0xc0ffee);
+  int creates = 0;
+  int pinned = 0;
+  for (int op = 0; op < 600; ++op) {
+    const auto& live = fixture.runtime.containers();
+    if (!live.empty() && (live.size() >= 24 || rng.bernoulli(0.45))) {
+      const auto victim = rng.uniform_u64(0, live.size() - 1);
+      ASSERT_TRUE(fixture.runtime.destroy(live[victim]->id()));
+      continue;
+    }
+    ContainerConfig config;
+    config.num_cpus = static_cast<int>(rng.uniform_i64(0, total + 1));
+    const std::vector<int> expected = recount_pick(config.num_cpus);
+    auto instance = fixture.runtime.create(config);
+    ASSERT_EQ(instance->cpuset(), expected) << "op " << op;
+    ++creates;
+    if (!expected.empty()) ++pinned;
+  }
+  EXPECT_GT(creates, 300);
+  EXPECT_GT(pinned, 200);
 }
 
 TEST(Container, LifecycleHookFires) {

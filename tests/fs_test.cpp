@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "container/container.h"
 #include "fs/pseudo_fs.h"
@@ -367,6 +371,11 @@ std::uint64_t viewer_misses() {
       .counter("fs_viewer_cache_misses_total")
       .value();
 }
+std::uint64_t viewer_invalidations() {
+  return obs::Registry::global()
+      .counter("fs_viewer_cache_invalidations_total")
+      .value();
+}
 
 }  // namespace
 
@@ -459,6 +468,125 @@ TEST(ViewerCache, DestroyRecreateReusedIdGetsFreshView) {
   ASSERT_EQ(second->id(), first_id);
   const auto second_view = second->read_file("/proc/meminfo").value();
   EXPECT_EQ(parse_first_int(split_lines(second_view)[0]), 2 * 1024 * 1024);
+}
+
+TEST(ViewerCache, DestroyFreesOnlyItsOwnSlots) {
+  kernel::Host host("churn", hw::testbed_i7_6700(), 9);
+  host.set_tick_duration(100 * kMillisecond);
+  PseudoFs filesystem(host);
+  container::ContainerRuntime runtime(host, filesystem);
+  const std::string path = "/proc/meminfo";
+
+  struct Counts {
+    std::uint64_t hits, misses, invalidations;
+  };
+  const auto counts = [] {
+    return Counts{viewer_hits(), viewer_misses(), viewer_invalidations()};
+  };
+  const auto since = [&](const Counts& before) {
+    const Counts now = counts();
+    return Counts{now.hits - before.hits, now.misses - before.misses,
+                  now.invalidations - before.invalidations};
+  };
+  std::vector<std::shared_ptr<container::Container>> viewers;
+  const auto read_all = [&] {
+    const Counts before = counts();
+    for (const auto& viewer : viewers) {
+      EXPECT_TRUE(viewer->read_file(path).is_ok());
+    }
+    return since(before);
+  };
+  // A tick makes every slot stale. A slot that is still resident is then
+  // refreshed in place (one miss and one invalidation apiece); a slot lost
+  // to a drop would be re-claimed without an invalidation. The pass after
+  // that hits on every slot.
+  const auto expect_every_slot_kept = [&] {
+    host.advance(100 * kMillisecond);
+    const Counts refresh = read_all();
+    EXPECT_EQ(refresh.hits, 0u);
+    EXPECT_EQ(refresh.misses, viewers.size());
+    EXPECT_EQ(refresh.invalidations, viewers.size());
+    const Counts again = read_all();
+    EXPECT_EQ(again.hits, viewers.size());
+    EXPECT_EQ(again.misses, 0u);
+    EXPECT_EQ(again.invalidations, 0u);
+  };
+
+  // 16 viewers fill every slot of one file.
+  for (int i = 0; i < 16; ++i) viewers.push_back(runtime.create({}));
+  EXPECT_EQ(read_all().misses, 16u);
+
+  // Destroying one frees its slot: a newer 17th viewer claims it without
+  // evicting anyone, and the other 15 keep theirs.
+  runtime.destroy(viewers[5]->id());
+  viewers.erase(viewers.begin() + 5);
+  viewers.push_back(runtime.create({}));
+  Counts before = counts();
+  ASSERT_TRUE(viewers.back()->read_file(path).is_ok());
+  Counts claim = since(before);
+  EXPECT_EQ(claim.misses, 1u);
+  EXPECT_EQ(claim.invalidations, 0u);
+  expect_every_slot_kept();
+
+  // An 18th viewer evicts the oldest resident. Destroying the evicted
+  // viewer leaves every resident slot in place.
+  viewers.push_back(runtime.create({}));
+  before = counts();
+  ASSERT_TRUE(viewers.back()->read_file(path).is_ok());
+  claim = since(before);
+  EXPECT_EQ(claim.misses, 1u);
+  EXPECT_EQ(claim.invalidations, 1u);
+  runtime.destroy(viewers.front()->id());
+  viewers.erase(viewers.begin());
+  expect_every_slot_kept();
+}
+
+TEST(ViewerCache, ConcurrentFillsIndexEverySlot) {
+  kernel::Host host("racers", hw::testbed_i7_6700(), 9);
+  PseudoFs filesystem(host);
+  container::ContainerRuntime runtime(host, filesystem);
+  std::vector<std::string> paths;
+  for (const std::string& path : filesystem.list_paths()) {
+    if (filesystem.cache_eligible(path)) paths.push_back(path);
+    if (paths.size() == 20) break;
+  }
+  ASSERT_EQ(paths.size(), 20u);
+  std::vector<std::shared_ptr<container::Container>> viewers;
+  for (int i = 0; i < 16; ++i) viewers.push_back(runtime.create({}));
+
+  // Four readers race over every (viewer, path) pair in different orders:
+  // each pair fills exactly once, and the rest hit.
+  const std::uint64_t hits = viewer_hits();
+  const std::uint64_t misses = viewer_misses();
+  std::vector<std::thread> readers;
+  for (std::size_t t = 0; t < 4; ++t) {
+    readers.emplace_back([&, t] {
+      std::string buffer;
+      for (std::size_t i = 0; i < viewers.size(); ++i) {
+        const auto& viewer = viewers[(i + 5 * t) % viewers.size()];
+        for (const std::string& path : paths) {
+          EXPECT_EQ(viewer->read_file_into(path, buffer), StatusCode::kOk);
+        }
+      }
+    });
+  }
+  for (auto& reader : readers) reader.join();
+  EXPECT_EQ(viewer_misses() - misses, 16u * 20u);
+  EXPECT_EQ(viewer_hits() - hits, 3u * 16u * 20u);
+
+  // Destroying every viewer frees every slot the racers filled, so 16 new
+  // viewers claim them all without one eviction.
+  for (const auto& viewer : viewers) runtime.destroy(viewer->id());
+  viewers.clear();
+  for (int i = 0; i < 16; ++i) viewers.push_back(runtime.create({}));
+  const std::uint64_t invalidations = viewer_invalidations();
+  std::string buffer;
+  for (const auto& viewer : viewers) {
+    for (const std::string& path : paths) {
+      EXPECT_EQ(viewer->read_file_into(path, buffer), StatusCode::kOk);
+    }
+  }
+  EXPECT_EQ(viewer_invalidations(), invalidations);
 }
 
 }  // namespace

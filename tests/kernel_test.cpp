@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "kernel/host.h"
+#include "util/rng.h"
 
 namespace cleaks::kernel {
 namespace {
@@ -460,6 +464,205 @@ TEST(Host, TemperatureRisesUnderLoad) {
   host->spawn_task(options);
   host->advance(30 * kSecond);
   EXPECT_GT(host->thermal().temp_c(0), cool + 5.0);
+}
+
+
+// ---------- host-tick golden ----------
+
+// FNV digest of everything one host's ticks write: every KernelState
+// counter, every task's TaskStats, each cgroup's cpuacct and perf counters
+// (PMU save/restore state included), RAPL, temperatures, cpuidle, the
+// scheduler's totals and the tick RNG's next draw (a witness of how many
+// draws the ticks consumed).
+std::uint64_t host_tick_digest(const Host& host) {
+  std::uint64_t h = kDigestSeed;
+  const auto u = [&h](std::uint64_t v) { fnv1a64_mix(h, v); };
+  const auto d = [&h](double v) { fnv1a64_mix(h, std::bit_cast<std::uint64_t>(v)); };
+  const auto i = [&h](std::int64_t v) {
+    fnv1a64_mix(h, static_cast<std::uint64_t>(v));
+  };
+
+  const KernelState& ks = host.state();
+  u(ks.uptime_ns);
+  u(ks.idle_time_ns);
+  for (const auto& t : ks.cpu_times) {
+    for (auto v : {t.user, t.nice, t.system, t.idle, t.iowait, t.irq,
+                   t.softirq, t.steal}) {
+      u(v);
+    }
+  }
+  for (const auto& line : ks.irqs) {
+    for (auto v : line.per_cpu) u(v);
+  }
+  for (const auto& per_cpu : ks.softirqs) {
+    for (auto v : per_cpu) u(v);
+  }
+  u(ks.total_interrupts);
+  u(ks.total_ctxt_switches);
+  u(ks.processes_forked);
+  i(ks.procs_running);
+  i(ks.procs_blocked);
+  for (const auto& s : ks.schedstat) {
+    for (auto v : {s.sched_yield, s.schedule_called, s.sched_goidle,
+                   s.ttwu_count, s.ttwu_local, s.run_time_ns, s.wait_time_ns,
+                   s.timeslices}) {
+      u(v);
+    }
+  }
+  for (const auto& n : ks.numa) {
+    for (auto v : {n.numa_hit, n.numa_miss, n.numa_foreign, n.interleave_hit,
+                   n.local_node, n.other_node}) {
+      u(v);
+    }
+  }
+  for (auto v : {ks.mem_total_kb, ks.mem_free_kb, ks.buffers_kb, ks.cached_kb,
+                 ks.slab_kb, ks.active_kb, ks.inactive_kb, ks.dirty_kb}) {
+    u(v);
+  }
+  d(ks.load1);
+  d(ks.load5);
+  d(ks.load15);
+  i(ks.entropy_avail);
+  for (auto v : {ks.file_nr, ks.inode_nr, ks.dentry_nr, ks.dentry_unused}) {
+    u(v);
+  }
+  for (auto v : ks.ext4_group_free_blocks) u(v);
+  for (const auto& costs : ks.sched_domain_lb_cost) {
+    u(costs[0]);
+    u(costs[1]);
+  }
+
+  for (const auto& task : host.tasks()) {
+    i(task->host_pid);
+    i(task->cpu);
+    const TaskStats& s = task->stats;
+    u(s.runtime_ns);
+    d(s.cycles);
+    d(s.instructions);
+    d(s.cache_misses);
+    d(s.branch_misses);
+    u(s.ctx_switches);
+    u(s.migrations);
+  }
+  for (const auto& cgroup : host.cgroups().all()) {
+    for (auto v : cgroup->cpuacct.usage_ns_per_cpu) u(v);
+    d(cgroup->cpuacct.total_cycles);
+    const PerfCounters& c = cgroup->perf.counters;
+    for (auto v : {c.instructions, c.cache_misses, c.branch_misses, c.cycles}) {
+      u(v);
+    }
+    for (const auto& ev : cgroup->perf.events) {
+      u(ev.pmu_state);
+      u(ev.accumulated);
+      u(ev.enabled ? 1 : 0);
+    }
+  }
+
+  for (const auto& pkg : host.rapl()) {
+    for (const hw::RaplDomain* domain :
+         {&pkg.package(), &pkg.core(), &pkg.dram()}) {
+      u(domain->energy_uj());
+      d(domain->lifetime_energy_j());
+    }
+  }
+  const int cores = host.spec().num_cores;
+  for (int core = 0; core < cores; ++core) {
+    d(host.thermal().temp_c(core));
+    for (int state = 0; state < host.cpuidle().num_states(); ++state) {
+      u(host.cpuidle().usage(core, state));
+      u(host.cpuidle().time_us(core, state));
+    }
+  }
+  d(host.last_tick_power_w());
+  d(host.effective_freq_hz());
+  u(host.nonroot_usage_marker());
+  u(host.scheduler().total_context_switches());
+  u(host.scheduler().total_migrations());
+  for (int runnable : host.scheduler().runnable_per_core()) i(runnable);
+  u(host.state_generation());
+  Rng witness = host.tick_rng();
+  u(witness());
+  return h;
+}
+
+// One host through every tick path: a quota'd cgroup on a cpuset, a
+// perf-monitored cgroup (shared core and a solo sleeper, so the per-quantum
+// hook loop runs), IO tasks (ext4 churn, iowait, device interrupts), tasks
+// stacked on one core for rebalance to spread, a RAPL cap's throttle and
+// recovery, a kill, and 100 ms, 5 s and partial ticks.
+std::uint64_t run_host_tick_scenario(hw::HardwareSpec spec, std::uint64_t seed) {
+  Host host("tick-golden", std::move(spec), seed);
+  host.set_tick_duration(100 * kMillisecond);
+  host.seed_prior_uptime(3 * kDay);
+  const int cores = host.spec().num_cores;
+
+  auto quota = host.cgroups().create("/docker/quota");
+  quota->cpu_quota = 0.3;
+  quota->cpuset.cpus = {cores - 2, cores - 1};
+  for (int t = 0; t < 3; ++t) {
+    host.spawn_task({.comm = "quota", .behavior = busy_behavior(0.9),
+                     .container_id = "quota", .cgroup = quota});
+  }
+
+  auto monitored = host.cgroups().create("/docker/perf");
+  host.perf().create_cgroup_events(*monitored, cores);
+  for (int t = 0; t < 2; ++t) {
+    host.spawn_task({.comm = "perf-shared", .behavior = busy_behavior(0.6),
+                     .container_id = "perf", .cgroup = monitored,
+                     .allowed_cpus = {1}});
+  }
+  host.spawn_task({.comm = "perf-solo", .behavior = busy_behavior(0.4),
+                   .container_id = "perf", .cgroup = monitored,
+                   .allowed_cpus = {2}});
+  // A root task on the monitored shared core: inter-cgroup switches in
+  // the hook loop.
+  host.spawn_task({.comm = "root-mixed", .behavior = busy_behavior(0.5),
+                   .allowed_cpus = {1}});
+
+  TaskBehavior io;
+  io.duty_cycle = 0.1;
+  io.io_rate_per_s = 600.0;
+  io.rss_bytes = 512ULL << 20;
+  const HostPid io_pid =
+      host.spawn_task({.comm = "io-a", .behavior = io})->host_pid;
+  host.spawn_task({.comm = "io-b", .behavior = io});
+
+  // Spawned idle, all land on one core; woken, rebalance must spread them.
+  std::vector<std::shared_ptr<Task>> stacked;
+  for (int t = 0; t < 5; ++t) {
+    stacked.push_back(host.spawn_task({.comm = "stacked"}));
+  }
+  for (auto& task : stacked) task->behavior = busy_behavior(0.7);
+
+  const double nominal_hz = host.effective_freq_hz();
+  host.advance(3 * kSecond);
+  host.set_power_cap_w(host.last_tick_power_w() * 0.6);
+  host.advance(4 * kSecond);
+  EXPECT_LT(host.effective_freq_hz(), nominal_hz);  // throttled
+  host.set_power_cap_w(0.0);
+  host.advance(3 * kSecond);
+  EXPECT_EQ(host.effective_freq_hz(), nominal_hz);  // recovered
+  EXPECT_GT(host.scheduler().total_migrations(), 0u);
+  EXPECT_GT(host.perf().pmu_switches(), 0u);
+  host.kill_task(io_pid);
+  host.set_tick_duration(5 * kSecond);
+  host.advance(40 * kSecond);
+  host.advance(2 * kSecond + 30 * kMillisecond);  // one partial tick
+  return host_tick_digest(host);
+}
+
+// Recorded before the tick's one-pass rewrite: every counter above must
+// keep its bits and the tick must draw exactly as many numbers.
+TEST(HostTickGolden, TestbedDigestMatchesRecording) {
+  const std::uint64_t digest = run_host_tick_scenario(hw::testbed_i7_6700(), 41);
+  EXPECT_EQ(digest, 0xb9bd756583afd7b8ull)
+      << "actual digest 0x" << std::hex << digest;
+}
+
+TEST(HostTickGolden, TwoPackageServerDigestMatchesRecording) {
+  const std::uint64_t digest = run_host_tick_scenario(hw::cloud_xeon_server(), 43);
+  EXPECT_EQ(digest, 0x17e97b1bdf6bba86ull)
+      << "actual digest 0x" << std::hex << digest;
 }
 
 }  // namespace

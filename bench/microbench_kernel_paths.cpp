@@ -4,9 +4,11 @@
 // RAPL read paths (stock leak vs. per-container modeled view). These are
 // the per-operation costs behind Table III's aggregate overheads.
 //
-// BM_HostAdvance times one host's tick loop, reporting honest cycle counts
-// (util/cycle_timer.h: rdtsc, or steady_clock ns on other platforms) as the
-// "cycles" counter alongside google-benchmark's wall clock.
+// BM_HostAdvance times one host's tick loop at 100 ms ticks and
+// BM_HostTick_DcServer one data-center server step at 1 s ticks, the shape
+// Fig 3 runs. Both report honest cycle counts (util/cycle_timer.h: rdtsc,
+// or steady_clock ns on other platforms) as the "cycles" counter alongside
+// google-benchmark's wall clock.
 #include <benchmark/benchmark.h>
 
 #include "cloud/datacenter.h"
@@ -18,6 +20,7 @@
 #include "faults/injector.h"
 #include "faults/plan.h"
 #include "util/cycle_timer.h"
+#include "workload/diurnal.h"
 
 using namespace cleaks;
 
@@ -222,6 +225,27 @@ void BM_HostAdvance(benchmark::State& state) {
       static_cast<double>(cycles.total), benchmark::Counter::kAvgIterations);
 }
 BENCHMARK(BM_HostAdvance);
+
+// The Fig 3 shape: a data-center server (cc1 hardware, 1 s ticks, 30 days
+// of prior uptime) under benign diurnal load, one Server::step per
+// iteration — the load generator's re-target plus one host tick. "cycles"
+// is the per-tick cost from the cycle timer.
+void BM_HostTick_DcServer(benchmark::State& state) {
+  cloud::Server server("bm-dc", cloud::cc1(), 29, 30 * kDay);
+  workload::DiurnalParams params;
+  params.base_utilization = 0.25;
+  server.enable_benign_load(31, params);
+  for (int s = 0; s < 60; ++s) server.step(kSecond);  // settle warmup
+  CycleTimer cycles;
+  for (auto _ : state) {
+    cycles.start();
+    server.step(kSecond);
+    cycles.stop();
+  }
+  state.counters["cycles"] = benchmark::Counter(
+      static_cast<double>(cycles.total), benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_HostTick_DcServer);
 
 // Provider control-plane hot paths (PR 10): steady-state launch/terminate
 // churn against a part-full datacenter, and the batch forms the churn

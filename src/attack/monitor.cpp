@@ -30,15 +30,22 @@ struct MonitorMetrics {
 
 }  // namespace
 
+RaplMonitor::RaplMonitor(const container::Container& target)
+    : target_(&target) {
+  const int packages = target.host().spec().num_packages;
+  paths_.reserve(static_cast<std::size_t>(packages));
+  for (int pkg = 0; pkg < packages; ++pkg) {
+    paths_.push_back(
+        strformat("/sys/class/powercap/intel-rapl:%d/energy_uj", pkg));
+  }
+}
+
 std::optional<double> RaplMonitor::sample_w(SimDuration since_last) {
   MonitorMetrics::get().rapl_samples.inc();
-  const int packages = target_->host().spec().num_packages;
-  std::vector<std::uint64_t> current;
-  current.reserve(static_cast<std::size_t>(packages));
-  for (int pkg = 0; pkg < packages; ++pkg) {
-    const auto view = target_->read_file(
-        strformat("/sys/class/powercap/intel-rapl:%d/energy_uj", pkg));
-    if (view.code() == StatusCode::kUnavailable) {
+  current_.clear();
+  for (const std::string& path : paths_) {
+    const StatusCode code = target_->read_file_into(path, buffer_);
+    if (code == StatusCode::kUnavailable) {
       // Transient dropout: the counters kept running but this read missed
       // them, so the next delta would span an unknown gap. Hold the
       // last-good estimate and re-prime on the next successful read.
@@ -47,28 +54,27 @@ std::optional<double> RaplMonitor::sample_w(SimDuration since_last) {
       degraded_ = true;
       return last_good_w_;
     }
-    if (!view.is_ok()) {
+    if (code != StatusCode::kOk) {
       // Masked or absent: the defense removed the channel — the signal
       // must vanish, not be held.
       MonitorMetrics::get().rapl_blocked.inc();
       return std::nullopt;
     }
-    current.push_back(
-        static_cast<std::uint64_t>(parse_first_int(view.value())));
+    current_.push_back(static_cast<std::uint64_t>(parse_first_int(buffer_)));
   }
-  packages_seen_ = packages;
-  if (!primed_ || last_uj_.size() != current.size()) {
-    last_uj_ = current;
+  packages_seen_ = static_cast<int>(paths_.size());
+  if (!primed_ || last_uj_.size() != current_.size()) {
+    last_uj_.swap(current_);
     primed_ = true;
     // Recovering from a dropout keeps serving the held estimate for the
     // priming interval; a fresh monitor has nothing to hold (nullopt).
     return degraded_ ? last_good_w_ : std::nullopt;
   }
   double joules = 0.0;
-  for (std::size_t pkg = 0; pkg < current.size(); ++pkg) {
-    joules += hw::rapl_delta_j(last_uj_[pkg], current[pkg]);
+  for (std::size_t pkg = 0; pkg < current_.size(); ++pkg) {
+    joules += hw::rapl_delta_j(last_uj_[pkg], current_[pkg]);
   }
-  last_uj_ = current;
+  last_uj_.swap(current_);
   const double dt_sec = to_seconds(since_last);
   if (dt_sec <= 0.0) return std::nullopt;
   const double watts = joules / dt_sec;

@@ -9,6 +9,8 @@
 #pragma once
 
 #include <optional>
+#include <string>
+#include <vector>
 
 #include "container/container.h"
 #include "hw/rapl.h"
@@ -18,8 +20,7 @@ namespace cleaks::attack {
 
 class RaplMonitor {
  public:
-  explicit RaplMonitor(const container::Container& target)
-      : target_(&target) {}
+  explicit RaplMonitor(const container::Container& target);
 
   /// Power (W) averaged over the interval since the previous successful
   /// sample. First call primes the counter and returns nullopt; nullopt is
@@ -47,6 +48,9 @@ class RaplMonitor {
 
  private:
   const container::Container* target_;
+  std::vector<std::string> paths_;  ///< each package's energy_uj, built once
+  std::string buffer_;              ///< read buffer, reused by every sample
+  std::vector<std::uint64_t> current_;
   std::vector<std::uint64_t> last_uj_;
   int packages_seen_ = 0;
   bool primed_ = false;

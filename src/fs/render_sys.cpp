@@ -1,4 +1,6 @@
 #include <algorithm>
+#include <charconv>
+#include <cstdint>
 
 #include "fs/render.h"
 #include "util/strings.h"
@@ -124,13 +126,26 @@ void rapl_domain_name(const RenderContext& ctx, int package,
   }
 }
 
+namespace {
+
+/// The "%llu\n" line energy_uj reads back, without a printf call: every
+/// attacker sample renders one.
+void append_counter_line(std::string& out, std::uint64_t value) {
+  char digits[24];
+  const auto end = std::to_chars(digits, digits + sizeof digits, value).ptr;
+  out.append(digits, end);
+  out.push_back('\n');
+}
+
+}  // namespace
+
 void rapl_energy_uj(const RenderContext& ctx, int package,
                     hw::RaplDomainKind domain, std::string& out) {
   // The defense's power-based namespace interposes here; without it the
   // host-wide counter leaks into every container (§III-B case study II).
   if (ctx.rapl != nullptr) {
-    strappendf(out, "%llu\n", (unsigned long long)ctx.rapl->energy_uj(
-                                  ctx.host, ctx.viewer, package, domain));
+    append_counter_line(
+        out, ctx.rapl->energy_uj(ctx.host, ctx.viewer, package, domain));
     return;
   }
   const auto& packages = ctx.host.rapl();
@@ -150,7 +165,7 @@ void rapl_energy_uj(const RenderContext& ctx, int package,
       value = pkg.dram().energy_uj();
       break;
   }
-  strappendf(out, "%llu\n", (unsigned long long)value);
+  append_counter_line(out, value);
 }
 
 void rapl_max_energy_range_uj(const RenderContext& ctx, int package,

@@ -11,15 +11,6 @@ CpuIdleAccounting::CpuIdleAccounting(int num_cores,
   counters_.resize(static_cast<std::size_t>(num_cores_) * states_.size());
 }
 
-void CpuIdleAccounting::record_idle(int core, std::uint64_t idle_us) {
-  if (idle_us == 0 || states_.empty()) return;
-  if (core < 0 || core >= num_cores_) {
-    throw std::out_of_range("CpuIdleAccounting index");
-  }
-  cpuidle_record(counters_.data() + static_cast<std::size_t>(core) * states_.size(),
-                 states_, idle_us);
-}
-
 void CpuIdleAccounting::seed(int core, int state, std::uint64_t usage,
                              std::uint64_t time_us) {
   CpuIdleCounter& c = counters_[index(core, state)];

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "hw/spec.h"
@@ -43,7 +44,15 @@ class CpuIdleAccounting {
   /// Record that `core` was idle for `idle_us` microseconds during a tick.
   /// The residency is attributed to the deepest state whose min residency
   /// fits, the way menu-governor behaviour looks from sysfs.
-  void record_idle(int core, std::uint64_t idle_us);
+  void record_idle(int core, std::uint64_t idle_us) {
+    if (idle_us == 0 || states_.empty()) return;
+    if (core < 0 || core >= num_cores_) {
+      throw std::out_of_range("CpuIdleAccounting index");
+    }
+    cpuidle_record(
+        counters_.data() + static_cast<std::size_t>(core) * states_.size(),
+        states_, idle_us);
+  }
 
   [[nodiscard]] std::uint64_t usage(int core, int state) const;
   [[nodiscard]] std::uint64_t time_us(int core, int state) const;

@@ -35,11 +35,27 @@ class EnergyModel {
 
   /// Energy for one core's activity. The uncore/idle-DRAM shares are charged
   /// separately via background_energy() once per package per tick.
-  [[nodiscard]] TickEnergy core_activity_energy(const TickActivity& a) const noexcept;
+  [[nodiscard]] TickEnergy core_activity_energy(const TickActivity& a) const noexcept {
+    constexpr double kNanojoule = 1e-9;
+    TickEnergy e;
+    const double busy_idle_j =
+        p_.p_core_idle_w * (a.active_seconds + a.idle_seconds);
+    e.core_j = busy_idle_j + kNanojoule * (p_.e_inst_nj * a.instructions +
+                                           p_.e_cmiss_core_nj * a.cache_misses +
+                                           p_.e_bmiss_nj * a.branch_misses);
+    e.dram_j = kNanojoule * p_.e_cmiss_dram_nj * a.cache_misses;
+    e.package_j = e.core_j + e.dram_j;
+    return e;
+  }
 
   /// Per-package background energy for `dt` of simulated time: uncore power
   /// and DRAM standby power.
-  [[nodiscard]] TickEnergy background_energy(double dt_seconds) const noexcept;
+  [[nodiscard]] TickEnergy background_energy(double dt_seconds) const noexcept {
+    TickEnergy e;
+    e.dram_j = p_.p_dram_idle_w * dt_seconds;
+    e.package_j = p_.p_uncore_w * dt_seconds + e.dram_j;
+    return e;
+  }
 
   /// Instantaneous power (W) implied by a tick's total energy.
   [[nodiscard]] static double power_w(const TickEnergy& e, double dt_seconds) noexcept {

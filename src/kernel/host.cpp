@@ -18,6 +18,59 @@ std::string make_boot_id(Rng& rng) {
          rng.hex_string(12);
 }
 
+/// One interval's interrupt and softirq counts: local timers and the
+/// per-jiffy softirqs on every cpu, NIC and disk events on cpu0, and one
+/// rescheduling interrupt per cpu per migration. The tick and the idle
+/// coast both call it, each with its own interval's counts.
+void add_interrupts(KernelState& ks, std::uint64_t jiffies,
+                    std::uint64_t nic_events, std::uint64_t disk_events,
+                    std::uint64_t migrations) {
+  for (auto& line : ks.irqs) {
+    switch (line.kind) {
+      case IrqKind::kLocalTimer:
+        for (auto& count : line.per_cpu) count += jiffies;
+        ks.total_interrupts += jiffies * line.per_cpu.size();
+        break;
+      case IrqKind::kNic:
+        line.per_cpu[0] += nic_events;
+        ks.total_interrupts += nic_events;
+        break;
+      case IrqKind::kDisk:
+        line.per_cpu[0] += disk_events;
+        ks.total_interrupts += disk_events;
+        break;
+      case IrqKind::kResched:
+        for (auto& count : line.per_cpu) count += migrations;
+        ks.total_interrupts += migrations * line.per_cpu.size();
+        break;
+      case IrqKind::kOther:
+        break;
+    }
+  }
+  for (std::size_t type = 0; type < kSoftirqKinds.size(); ++type) {
+    auto& per_cpu = ks.softirqs[type];
+    switch (kSoftirqKinds[type]) {
+      case SoftirqKind::kJiffy:
+        for (auto& count : per_cpu) count += jiffies;
+        break;
+      case SoftirqKind::kHalfJiffy:
+        for (auto& count : per_cpu) count += jiffies / 2;
+        break;
+      case SoftirqKind::kTenthJiffy:
+        for (auto& count : per_cpu) count += jiffies / 10;
+        break;
+      case SoftirqKind::kNetRx:
+        per_cpu[0] += nic_events;
+        break;
+      case SoftirqKind::kBlock:
+        per_cpu[0] += disk_events;
+        break;
+      case SoftirqKind::kStatic:
+        break;
+    }
+  }
+}
+
 }  // namespace
 
 Host::Host(std::string name, hw::HardwareSpec spec, std::uint64_t seed,
@@ -33,9 +86,7 @@ Host::Host(std::string name, hw::HardwareSpec spec, std::uint64_t seed,
       sched_(spec_.num_cores),
       kstate_() {
   effective_freq_hz_ = spec_.freq_ghz * 1e9;
-  core_power_w_.resize(static_cast<std::size_t>(spec_.num_cores), 0.0);
-  pkg_core_j_.resize(static_cast<std::size_t>(spec_.num_packages), 0.0);
-  pkg_dram_j_.resize(static_cast<std::size_t>(spec_.num_packages), 0.0);
+  pkg_tick_.resize(static_cast<std::size_t>(spec_.num_packages));
 
   if (spec_.has_rapl) {
     rapl_.reserve(static_cast<std::size_t>(spec_.num_packages));
@@ -119,7 +170,7 @@ Host::Host(std::string name, hw::HardwareSpec spec, std::uint64_t seed,
     spawn_task(options);
   }
   baseline_task_count_ = tasks_.size();
-  update_memory_accounting();
+  update_memory_accounting(task_rss_kb());
 }
 
 std::shared_ptr<Task> Host::spawn_task(const SpawnOptions& options) {
@@ -163,7 +214,7 @@ std::shared_ptr<Task> Host::spawn_task(const SpawnOptions& options) {
   perf_.on_task_fork(task->cgroup.get(), task->cpu);
   tasks_.push_back(task);
   ++kstate_.processes_forked;
-  update_memory_accounting();
+  update_memory_accounting(task_rss_kb());
   ++generation_;
   return task;
 }
@@ -175,7 +226,7 @@ bool Host::kill_task(HostPid pid) {
   if (it == tasks_.end()) return false;
   (*it)->running = false;
   tasks_.erase(it);
-  update_memory_accounting();
+  update_memory_accounting(task_rss_kb());
   ++generation_;
   return true;
 }
@@ -319,7 +370,7 @@ void Host::begin_coast_() {
   // hosts at least one runnable task.
   c.ctxt_rate_per_s = 2.0 * busy_cores / to_seconds(sched_.quantum());
 
-  // Noise-free idle power: exactly the idle floor of integrate_energy with
+  // Noise-free idle power: exactly the idle floor of tick_cores() with
   // zero activity and the measurement-noise factor pinned at 1.
   c.core_watts.assign(static_cast<std::size_t>(spec_.num_packages), 0.0);
   for (int core = 0; core < spec_.num_cores; ++core) {
@@ -396,40 +447,8 @@ void Host::materialize_coast_(SimDuration elapsed) {
       (40.0 + c.io_rate_per_s * 0.4) * e_sec);
   const auto disk_events =
       static_cast<std::uint64_t>(c.io_rate_per_s * 0.6 * e_sec);
-  for (auto& line : ks.irqs) {
-    switch (line.kind) {
-      case IrqKind::kLocalTimer:
-        for (auto& count : line.per_cpu) count += jiffies;
-        ks.total_interrupts += jiffies * line.per_cpu.size();
-        break;
-      case IrqKind::kNic:
-        line.per_cpu[0] += nic_events;
-        ks.total_interrupts += nic_events;
-        break;
-      case IrqKind::kDisk:
-        line.per_cpu[0] += disk_events;
-        ks.total_interrupts += disk_events;
-        break;
-      case IrqKind::kResched:  // nothing migrates while nothing runs
-      case IrqKind::kOther:
-        break;
-    }
-  }
-  for (std::size_t type = 0; type < kSoftirqNames.size(); ++type) {
-    auto& per_cpu = ks.softirqs[type];
-    const std::string_view name = kSoftirqNames[type];
-    if (name == "TIMER" || name == "SCHED") {
-      for (auto& count : per_cpu) count += jiffies;
-    } else if (name == "RCU") {
-      for (auto& count : per_cpu) count += jiffies / 2;
-    } else if (name == "HRTIMER") {
-      for (auto& count : per_cpu) count += jiffies / 10;
-    } else if (name == "NET_RX" && !per_cpu.empty()) {
-      per_cpu[0] += nic_events;
-    } else if (name == "BLOCK" && !per_cpu.empty()) {
-      per_cpu[0] += disk_events;
-    }
-  }
+  // Nothing migrates while nothing runs.
+  add_interrupts(ks, jiffies, nic_events, disk_events, /*migrations=*/0);
   ks.total_ctxt_switches +=
       static_cast<std::uint64_t>(c.ctxt_rate_per_s * e_sec);
   // loadavg: the closed-form solution of the kernel's per-tick decay
@@ -511,36 +530,25 @@ void Host::run_tick(SimDuration dt) {
   const std::uint64_t ctx_before = sched_.total_context_switches();
   const std::uint64_t mig_before = sched_.total_migrations();
 
+  // The tick's RNG draws, in this order (pinned by the Fig 3 hexfloats and
+  // tests/kernel_test.cpp HostTickGolden.*):
+  //   1. two scheduler gaussians per share, in core then queue order;
+  //   2. one RAPL-noise gaussian per package;
+  //   3. one loadavg bernoulli per task, in tasks_ order;
+  //   4-6. entropy, the four VFS counters, the ext4 pair when IO runs;
+  //   7. the lb_cost pair per core, in core order.
+  // Shares are committed to tasks and cgroups inside Scheduler::tick.
   sched_.tick(tasks_, effective_freq_hz_, dt, perf_, *cgroups_.root(), rng_,
               /*closed_form_switches=*/true);
-
-  // Charge cgroup accounting from this tick's shares.
-  for (const auto& share : sched_.task_shares()) {
-    Task& task = *share.task;
-    auto& cgroup = *task.cgroup;
-    if (task.cgroup != cgroups_.root()) ++nonroot_usage_marker_;
-    cgroup.cpuacct.ensure_cpus(spec_.num_cores);
-    cgroup.cpuacct
-        .usage_ns_per_cpu[static_cast<std::size_t>(task.cpu)] +=
-        static_cast<std::uint64_t>(share.active_seconds * 1e9);
-    cgroup.cpuacct.total_cycles += share.sample.cycles;
-    PerfEventSubsystem::charge(cgroup, task.cpu, share.sample);
+  for (auto& pkg : pkg_tick_) {
+    // RAPL measurement noise: small multiplicative error per integration,
+    // applied to the package sums that tick_cores() gathers.
+    pkg.noise = std::clamp(rng_.gaussian(1.0, spec_.energy.measurement_noise),
+                           0.9, 1.1);
   }
-
-  integrate_energy(dt);
-  // Same RC step as ThermalModel::advance; the exp() inside the decay
-  // factor is computed once per distinct dt instead of every tick
-  // (identical inputs, identical bits).
-  thermal_.advance_with_decay(core_power_w_.data(), core_power_w_.size(),
-                              factors_for(dt).thermal_decay);
-  for (int core = 0; core < spec_.num_cores; ++core) {
-    const auto idle_us = static_cast<std::uint64_t>(
-        sched_.core_activity()[static_cast<std::size_t>(core)].idle_seconds *
-        1e6);
-    cpuidle_.record_idle(core, idle_us);
-  }
-
-  update_kernel_counters(dt, ctx_before, mig_before);
+  const TaskTotals totals = sample_tasks();
+  update_kernel_counters(dt, totals, ctx_before, mig_before);
+  tick_cores(dt, totals.io_rate_per_s);
   apply_power_capping();
 
   // Behavior telemetry: one aggregate event per stream per tick, stamped
@@ -585,49 +593,26 @@ void Host::run_tick(SimDuration dt) {
   ++generation_;
 }
 
+Host::TaskTotals Host::sample_tasks() {
+  TaskTotals totals;
+  for (const auto& task : tasks_) {
+    const TaskBehavior& behavior = task->behavior;
+    totals.io_rate_per_s += behavior.io_rate_per_s;
+    if (behavior.duty_cycle > 0.0) ++totals.runnable;
+    // loadavg samples the *instantaneous* runnable count — a task with
+    // duty d is runnable at a sampling instant with probability d, which
+    // is what gives real load averages their jitter. Added, not branched
+    // on: the outcome is a coin flip the branch predictor cannot learn.
+    totals.sampled_runnable +=
+        static_cast<int>(rng_.bernoulli(std::min(1.0, behavior.duty_cycle)));
+    totals.rss_kb += behavior.rss_bytes >> 10;
+  }
+  return totals;
+}
+
 int Host::package_of_core(int core) const noexcept {
   const int per_pkg = std::max(1, spec_.cores_per_package);
   return std::min(core / per_pkg, spec_.num_packages - 1);
-}
-
-void Host::integrate_energy(SimDuration dt) {
-  const double dt_sec = to_seconds(dt);
-  double total_package_j = 0.0;
-  // Member scratch, zeroed in place: no per-tick heap allocation.
-  pkg_core_j_.assign(pkg_core_j_.size(), 0.0);
-  pkg_dram_j_.assign(pkg_dram_j_.size(), 0.0);
-  double* pkg_core_j = pkg_core_j_.data();
-  double* pkg_dram_j = pkg_dram_j_.data();
-
-  for (int core = 0; core < spec_.num_cores; ++core) {
-    const auto& activity =
-        sched_.core_activity()[static_cast<std::size_t>(core)];
-    const hw::TickEnergy e = energy_model_.core_activity_energy(activity);
-    core_power_w_[static_cast<std::size_t>(core)] =
-        dt_sec > 0 ? e.core_j / dt_sec : 0.0;
-    const auto pkg = static_cast<std::size_t>(package_of_core(core));
-    pkg_core_j[pkg] += e.core_j;
-    pkg_dram_j[pkg] += e.dram_j;
-  }
-
-  const hw::TickEnergy bg = energy_model_.background_energy(dt_sec);
-  for (int pkg = 0; pkg < spec_.num_packages; ++pkg) {
-    const auto i = static_cast<std::size_t>(pkg);
-    // RAPL measurement noise: small multiplicative error per integration.
-    const double noise = std::clamp(
-        rng_.gaussian(1.0, spec_.energy.measurement_noise), 0.9, 1.1);
-    const double core_j = pkg_core_j[i] * noise;
-    const double dram_j = (pkg_dram_j[i] + bg.dram_j) * noise;
-    const double package_j =
-        (pkg_core_j[i] + pkg_dram_j[i] + bg.package_j) * noise;
-    if (spec_.has_rapl && i < rapl_.size()) {
-      rapl_[i].core().add_energy_j(core_j);
-      if (spec_.has_dram_rapl) rapl_[i].dram().add_energy_j(dram_j);
-      rapl_[i].package().add_energy_j(package_j);
-    }
-    total_package_j += package_j;
-  }
-  last_tick_power_w_ = dt_sec > 0 ? total_package_j / dt_sec : 0.0;
 }
 
 double Host::lifetime_energy_j() const noexcept {
@@ -653,122 +638,32 @@ void Host::apply_power_capping() {
   }
 }
 
-void Host::update_kernel_counters(SimDuration dt, std::uint64_t ctx_before,
+void Host::update_kernel_counters(SimDuration dt, const TaskTotals& totals,
+                                  std::uint64_t ctx_before,
                                   std::uint64_t migrations_before) {
   const double dt_sec = to_seconds(dt);
+  const double io_rate = totals.io_rate_per_s;
   auto& ks = kstate_;
   ks.uptime_ns += dt;
 
-  double total_io_rate = 0.0;
-  int runnable = 0;
-  // loadavg samples the *instantaneous* runnable count — a task with duty
-  // d is runnable at a sampling instant with probability d, which is what
-  // gives real load averages their jitter.
-  int sampled_runnable = 0;
-  for (const auto& task : tasks_) {
-    total_io_rate += task->behavior.io_rate_per_s;
-    if (task->behavior.duty_cycle > 0.0) ++runnable;
-    if (rng_.bernoulli(std::min(1.0, task->behavior.duty_cycle))) {
-      ++sampled_runnable;
-    }
-  }
-
-  // Per-cpu jiffies + idle time.
-  for (int core = 0; core < spec_.num_cores; ++core) {
-    const auto& activity =
-        sched_.core_activity()[static_cast<std::size_t>(core)];
-    auto& times = ks.cpu_times[static_cast<std::size_t>(core)];
-    const auto busy_jiffies =
-        static_cast<std::uint64_t>(activity.active_seconds * kUserHz);
-    times.user += busy_jiffies * 9 / 10;
-    times.system += busy_jiffies / 10;
-    const double iowait_share =
-        std::min(0.3, total_io_rate / 4000.0) * activity.idle_seconds;
-    times.iowait += static_cast<std::uint64_t>(iowait_share * kUserHz);
-    times.idle += static_cast<std::uint64_t>(
-        (activity.idle_seconds - iowait_share) * kUserHz);
-    times.irq += static_cast<std::uint64_t>(dt_sec);  // ~1 jiffy/100s of irq
-    times.softirq += static_cast<std::uint64_t>(dt_sec);
-    ks.idle_time_ns += static_cast<std::uint64_t>(activity.idle_seconds * 1e9);
-
-    auto& sstat = ks.schedstat[static_cast<std::size_t>(core)];
-    sstat.schedule_called += std::max<std::uint64_t>(
-        1, static_cast<std::uint64_t>(dt_sec * kUserHz));
-    if (activity.idle_seconds > 0.0) ++sstat.sched_goidle;
-    sstat.run_time_ns +=
-        static_cast<std::uint64_t>(activity.active_seconds * 1e9);
-    sstat.wait_time_ns += static_cast<std::uint64_t>(
-        activity.active_seconds * 1e8);  // ~10% queueing
-    sstat.timeslices += std::max<std::uint64_t>(
-        1, static_cast<std::uint64_t>(activity.active_seconds * kUserHz));
-  }
-
-  // Interrupts: local timer per cpu per jiffy; device interrupts from IO.
-  // Dispatch on the precomputed line kind — same counters as the original
-  // label-string matching, without per-tick string compares.
+  // Interrupts and softirqs: local timer per cpu per jiffy; device
+  // interrupts from IO.
   const auto jiffies =
       std::max<std::uint64_t>(1, static_cast<std::uint64_t>(dt_sec * kUserHz));
-  for (auto& line : ks.irqs) {
-    switch (line.kind) {
-      case IrqKind::kLocalTimer:
-        for (auto& count : line.per_cpu) count += jiffies;
-        ks.total_interrupts += jiffies * line.per_cpu.size();
-        break;
-      case IrqKind::kNic: {
-        const auto events = static_cast<std::uint64_t>(
-            (40.0 + total_io_rate * 0.4) * dt_sec);
-        line.per_cpu[0] += events;
-        ks.total_interrupts += events;
-        break;
-      }
-      case IrqKind::kDisk: {
-        const auto events =
-            static_cast<std::uint64_t>(total_io_rate * 0.6 * dt_sec);
-        line.per_cpu[0] += events;
-        ks.total_interrupts += events;
-        break;
-      }
-      case IrqKind::kResched: {
-        const std::uint64_t migrations =
-            sched_.total_migrations() - migrations_before;
-        for (auto& count : line.per_cpu) count += migrations;
-        ks.total_interrupts += migrations * line.per_cpu.size();
-        break;
-      }
-      case IrqKind::kOther:
-        break;
-    }
-  }
-
-  // Softirqs: TIMER/SCHED per jiffy per cpu, NET_RX and BLOCK from IO.
-  // The per-type increment is resolved once, outside the per-core loop
-  // (the original compared name strings per (type, core) pair).
-  for (std::size_t type = 0; type < kSoftirqNames.size(); ++type) {
-    auto& per_cpu = ks.softirqs[type];
-    const std::string_view name = kSoftirqNames[type];
-    if (name == "TIMER" || name == "SCHED") {
-      for (auto& count : per_cpu) count += jiffies;
-    } else if (name == "RCU") {
-      for (auto& count : per_cpu) count += jiffies / 2;
-    } else if (name == "HRTIMER") {
-      for (auto& count : per_cpu) count += jiffies / 10;
-    } else if (name == "NET_RX" && !per_cpu.empty()) {
-      per_cpu[0] += static_cast<std::uint64_t>(
-          (40.0 + total_io_rate * 0.4) * dt_sec);
-    } else if (name == "BLOCK" && !per_cpu.empty()) {
-      per_cpu[0] +=
-          static_cast<std::uint64_t>(total_io_rate * 0.6 * dt_sec);
-    }
-  }
+  add_interrupts(
+      ks, jiffies,
+      static_cast<std::uint64_t>((40.0 + io_rate * 0.4) * dt_sec),
+      static_cast<std::uint64_t>(io_rate * 0.6 * dt_sec),
+      sched_.total_migrations() - migrations_before);
 
   ks.total_ctxt_switches += sched_.total_context_switches() - ctx_before;
-  ks.procs_running = std::max(1, runnable);
-  ks.procs_blocked = total_io_rate > 200.0 ? 1 : 0;
+  ks.procs_running = std::max(1, totals.runnable);
+  ks.procs_blocked = io_rate > 200.0 ? 1 : 0;
 
   // loadavg: kernel-style exponential decay toward the sampled runnable
   // count (a 5%-duty daemon is runnable in ~5% of samples). The per-dt
   // factor cache memoizes exp(-dt/T) — same dt, same double.
-  const double active = static_cast<double>(sampled_runnable);
+  const double active = static_cast<double>(totals.sampled_runnable);
   auto decay = [&](double load, double factor) {
     return load * factor + active * (1.0 - factor);
   };
@@ -782,7 +677,7 @@ void Host::update_kernel_counters(SimDuration dt, std::uint64_t ctx_before,
   // manipulable: a co-resident tenant's activity drains it).
   ks.entropy_avail += static_cast<int>(rng_.uniform_i64(-18, 44));
   ks.entropy_avail -=
-      static_cast<int>(std::min(40.0, total_io_rate * 0.004 * dt_sec));
+      static_cast<int>(std::min(40.0, io_rate * 0.004 * dt_sec));
   ks.entropy_avail = std::clamp(ks.entropy_avail, 128, ks.poolsize);
 
   // VFS counters drift with task count and IO.
@@ -792,7 +687,7 @@ void Host::update_kernel_counters(SimDuration dt, std::uint64_t ctx_before,
   ks.dentry_unused += rng_.uniform_u64(0, 4);
 
   // ext4 allocator churn when IO is happening.
-  if (total_io_rate > 0.0 && !ks.ext4_group_free_blocks.empty()) {
+  if (io_rate > 0.0 && !ks.ext4_group_free_blocks.empty()) {
     const auto group = rng_.uniform_u64(0, ks.ext4_group_free_blocks.size() - 1);
     auto& free_blocks = ks.ext4_group_free_blocks[group];
     const std::int64_t delta = rng_.uniform_i64(-32, 32);
@@ -802,36 +697,116 @@ void Host::update_kernel_counters(SimDuration dt, std::uint64_t ctx_before,
     free_blocks = static_cast<std::uint64_t>(updated);
   }
 
-  // NUMA: hits follow instruction flow; a small share crosses nodes.
+  update_memory_accounting(totals.rss_kb);
+}
+
+void Host::tick_cores(SimDuration dt, double io_rate_per_s) {
+  const double dt_sec = to_seconds(dt);
+  auto& ks = kstate_;
+  for (auto& pkg : pkg_tick_) pkg.core_j = pkg.dram_j = 0.0;
+
+  // Loop invariants of the per-core counters.
+  const double iowait_frac = std::min(0.3, io_rate_per_s / 4000.0);
+  const auto whole_seconds = static_cast<std::uint64_t>(dt_sec);
+  const auto tick_jiffies =
+      std::max<std::uint64_t>(1, static_cast<std::uint64_t>(dt_sec * kUserHz));
+  const double thermal_decay = factors_for(dt).thermal_decay;
+  const hw::ThermalParams& thermal_params = thermal_.params();
+  double* temps = thermal_.mutable_temps();
+
+  // One pass per core: energy, temperature, idle residency, jiffies,
+  // schedstat, and draw 7 (the load balancer's cost drift, as in fair.c).
   double total_instructions = 0.0;
-  for (const auto& activity : sched_.core_activity()) {
+  // package_of_core(core), stepped instead of divided.
+  const int cores_per_package = std::max(1, spec_.cores_per_package);
+  int package = 0;
+  int package_end = cores_per_package;
+  for (int core = 0; core < spec_.num_cores; ++core) {
+    const auto c = static_cast<std::size_t>(core);
+    const hw::TickActivity& activity = sched_.core_activity()[c];
+    if (core == package_end && package < spec_.num_packages - 1) {
+      ++package;
+      package_end += cores_per_package;
+    }
+
+    const hw::TickEnergy e = energy_model_.core_activity_energy(activity);
+    PackageTick& pkg = pkg_tick_[static_cast<std::size_t>(package)];
+    pkg.core_j += e.core_j;
+    pkg.dram_j += e.dram_j;
+    hw::thermal_step_core(temps[core], dt_sec > 0 ? e.core_j / dt_sec : 0.0,
+                          thermal_decay, thermal_params);
+    cpuidle_.record_idle(
+        core, static_cast<std::uint64_t>(activity.idle_seconds * 1e6));
+
+    auto& times = ks.cpu_times[c];
+    const auto busy_jiffies =
+        static_cast<std::uint64_t>(activity.active_seconds * kUserHz);
+    times.user += busy_jiffies * 9 / 10;
+    times.system += busy_jiffies / 10;
+    const double iowait_share = iowait_frac * activity.idle_seconds;
+    times.iowait += static_cast<std::uint64_t>(iowait_share * kUserHz);
+    times.idle += static_cast<std::uint64_t>(
+        (activity.idle_seconds - iowait_share) * kUserHz);
+    times.irq += whole_seconds;  // ~1 jiffy/100s of irq
+    times.softirq += whole_seconds;
+    ks.idle_time_ns += static_cast<std::uint64_t>(activity.idle_seconds * 1e9);
+
+    auto& sstat = ks.schedstat[c];
+    sstat.schedule_called += tick_jiffies;
+    if (activity.idle_seconds > 0.0) ++sstat.sched_goidle;
+    sstat.run_time_ns +=
+        static_cast<std::uint64_t>(activity.active_seconds * 1e9);
+    sstat.wait_time_ns += static_cast<std::uint64_t>(
+        activity.active_seconds * 1e8);  // ~10% queueing
+    sstat.timeslices += std::max<std::uint64_t>(
+        1, static_cast<std::uint64_t>(activity.active_seconds * kUserHz));
+
+    auto& costs = ks.sched_domain_lb_cost[c];
+    costs[0] = std::max<std::uint64_t>(
+        4000, costs[0] + static_cast<std::uint64_t>(rng_.uniform_i64(-200, 220)));
+    costs[1] = std::max<std::uint64_t>(
+        9000, costs[1] + static_cast<std::uint64_t>(rng_.uniform_i64(-350, 380)));
+
     total_instructions += activity.instructions;
   }
+
+  // Package energy: the per-core sums plus uncore/DRAM background, scaled
+  // by this tick's noise factor.
+  const hw::TickEnergy bg = energy_model_.background_energy(dt_sec);
+  double total_package_j = 0.0;
+  for (std::size_t i = 0; i < pkg_tick_.size(); ++i) {
+    const PackageTick& pkg = pkg_tick_[i];
+    const double core_j = pkg.core_j * pkg.noise;
+    const double dram_j = (pkg.dram_j + bg.dram_j) * pkg.noise;
+    const double package_j = (pkg.core_j + pkg.dram_j + bg.package_j) * pkg.noise;
+    if (spec_.has_rapl && i < rapl_.size()) {
+      rapl_[i].core().add_energy_j(core_j);
+      if (spec_.has_dram_rapl) rapl_[i].dram().add_energy_j(dram_j);
+      rapl_[i].package().add_energy_j(package_j);
+    }
+    total_package_j += package_j;
+  }
+  last_tick_power_w_ = dt_sec > 0 ? total_package_j / dt_sec : 0.0;
+
+  // NUMA: hits follow instruction flow; a small share crosses nodes.
   const auto pages = static_cast<std::uint64_t>(total_instructions / 50000.0);
-  for (std::size_t node = 0; node < ks.numa.size(); ++node) {
-    auto& numa = ks.numa[node];
+  for (auto& numa : ks.numa) {
     const std::uint64_t share = pages / ks.numa.size();
     numa.numa_hit += share;
     numa.local_node += share * 96 / 100;
     numa.other_node += share * 4 / 100;
     if (ks.numa.size() > 1) numa.numa_miss += share / 50;
   }
-
-  // Load-balancer cost estimate drifts as in fair.c.
-  for (auto& costs : ks.sched_domain_lb_cost) {
-    costs[0] = std::max<std::uint64_t>(
-        4000, costs[0] + static_cast<std::uint64_t>(rng_.uniform_i64(-200, 220)));
-    costs[1] = std::max<std::uint64_t>(
-        9000, costs[1] + static_cast<std::uint64_t>(rng_.uniform_i64(-350, 380)));
-  }
-
-  update_memory_accounting();
 }
 
-void Host::update_memory_accounting() {
-  auto& ks = kstate_;
+std::uint64_t Host::task_rss_kb() const noexcept {
   std::uint64_t rss_kb = 0;
   for (const auto& task : tasks_) rss_kb += task->behavior.rss_bytes >> 10;
+  return rss_kb;
+}
+
+void Host::update_memory_accounting(std::uint64_t rss_kb) {
+  auto& ks = kstate_;
   const std::uint64_t kernel_base_kb = 600 * 1024;
   const std::uint64_t cached_kb = std::min<std::uint64_t>(
       ks.mem_total_kb / 5, 350000 + rss_kb / 4);

@@ -57,6 +57,23 @@ constexpr std::array<const char*, 10> kSoftirqNames = {
     "HI",        "TIMER", "NET_TX",  "NET_RX", "BLOCK",
     "IRQ_POLL",  "TASKLET", "SCHED", "HRTIMER", "RCU"};
 
+/// What drives a softirq counter, the softirq analogue of IrqKind.
+enum class SoftirqKind {
+  kStatic,      ///< HI, NET_TX, IRQ_POLL, TASKLET: never raised here
+  kJiffy,       ///< TIMER, SCHED: one per cpu per jiffy
+  kHalfJiffy,   ///< RCU: one per cpu per two jiffies
+  kTenthJiffy,  ///< HRTIMER: one per cpu per ten jiffies
+  kNetRx,       ///< NET_RX: one per NIC event, on cpu0
+  kBlock,       ///< BLOCK: one per disk event, on cpu0
+};
+
+/// The kind of each softirq, in kSoftirqNames order.
+constexpr std::array<SoftirqKind, kSoftirqNames.size()> kSoftirqKinds = {
+    SoftirqKind::kStatic,    SoftirqKind::kJiffy,  SoftirqKind::kStatic,
+    SoftirqKind::kNetRx,     SoftirqKind::kBlock,  SoftirqKind::kStatic,
+    SoftirqKind::kStatic,    SoftirqKind::kJiffy,  SoftirqKind::kTenthJiffy,
+    SoftirqKind::kHalfJiffy};
+
 struct Module {
   std::string name;
   std::uint64_t size = 0;

@@ -85,26 +85,4 @@ void PerfEventSubsystem::on_task_fork(Cgroup* cgroup, int cpu) noexcept {
   }
 }
 
-void PerfEventSubsystem::charge(Cgroup& cgroup, int cpu,
-                                const PerfSample& sample) noexcept {
-  auto& perf = cgroup.perf;
-  if (!perf.accounting_enabled) return;
-  perf.counters.instructions += static_cast<std::uint64_t>(sample.instructions);
-  perf.counters.cache_misses += static_cast<std::uint64_t>(sample.cache_misses);
-  perf.counters.branch_misses +=
-      static_cast<std::uint64_t>(sample.branch_misses);
-  perf.counters.cycles += static_cast<std::uint64_t>(sample.cycles);
-  const std::size_t base = static_cast<std::size_t>(cpu) * kEventsPerCpu;
-  if (base + kEventsPerCpu <= perf.events.size()) {
-    perf.events[base + 0].accumulated +=
-        static_cast<std::uint64_t>(sample.instructions);
-    perf.events[base + 1].accumulated +=
-        static_cast<std::uint64_t>(sample.cache_misses);
-    perf.events[base + 2].accumulated +=
-        static_cast<std::uint64_t>(sample.branch_misses);
-    perf.events[base + 3].accumulated +=
-        static_cast<std::uint64_t>(sample.cycles);
-  }
-}
-
 }  // namespace cleaks::kernel
